@@ -74,6 +74,34 @@ func TestWarmEmbeddingAllocs(t *testing.T) {
 	}
 }
 
+// TestDenseEmbeddingAllocs pins the dense path the paper's testbenches take
+// every ISC round: once the scratch has grown, the embedding — D^{-1/2}·L·
+// D^{-1/2} written into the scratch eigensolver's buffer and diagonalized
+// where it sits — and a point set cut from it allocate nothing. One
+// n_a×n_a buffer reused across rounds is what keeps ISC's peak memory flat.
+// The first call is the warm-up AllocsPerRun performs before measuring.
+func TestDenseEmbeddingAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	w := graph.RandomSparse(300, 0.95, rng)
+	var sc scratch
+	const k = 8
+	allocs := testing.AllocsPerRun(3, func() {
+		emb, err := newSpectralEmbedding(w, k, 1, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emb.eig == nil || len(emb.active) > lanczosCutoff {
+			t.Fatalf("dense path not taken for %d active neurons", len(emb.active))
+		}
+		if pts := emb.points(k, &sc); len(pts) != len(emb.active) || len(pts[0]) != k {
+			t.Fatal("point set has the wrong shape")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("dense embedding allocated %.1f times per solve, want 0", allocs)
+	}
+}
+
 // TestRefineAllocs pins the per-level boundary refinement: with the
 // mlScratch grown, a full refine pass (gain scan, candidate sort, ordered
 // commits) is allocation-free on the serial path.

@@ -36,31 +36,35 @@ type Cluster []int
 // embedding switches from the dense O(n³) eigensolver to the sparse
 // Lanczos solver. The paper's testbenches (N ≤ 500) stay on the dense
 // path; the cutoff exists for the larger networks the introduction
-// motivates (4000+-input deep networks, LDPC codes). Re-tuned from 600
-// after the CSR rework made the sparse path allocation-free: at ~94%
-// sparsity the Lanczos solve overtakes the dense O(n³) solver between
-// n≈450 and n≈550, so 512 keeps the paper-scale experiments (n ≤ 400
-// active) on the dense path while switching earlier for everything the
-// sparse path now wins.
+// motivates (4000+-input deep networks, LDPC codes). Measured with the
+// in-place row-major kernel at ~94% sparsity (workers=1, AMD EPYC), one
+// embedding costs 67 ms dense vs 98 ms Lanczos at n=400 and 126 vs 164 ms
+// at n=500; the two meet near n≈570 (158 vs 161 ms at 560, 173 vs 168 ms
+// at 580). The cutoff stays at 512: raising it would hand rounds with
+// 512 < n_a ≤ 570 to the dense solver, moving the n720 golden, to save at
+// most ~30 ms a round.
 const lanczosCutoff = 512
 
 // scratch carries the reusable buffers of one clustering flow: the
-// global→local index array and restricted CSR of the embedding, the Lanczos
-// workspace, the k-means workspace, and the flat backing of the embedding
-// point set. ISC allocates one scratch and threads it through every
-// iteration's GCP pass, so the per-iteration spectral restriction and
+// global→local index array and restricted CSR of the embedding, the dense
+// eigensolver whose n_a×n_a buffer holds the dense-path embedding, the
+// Lanczos workspace, the k-means workspace, and the flat backing of the
+// embedding point set. ISC allocates one scratch and threads it through
+// every iteration's GCP pass, so the per-iteration spectral solve and
 // k-means passes stop allocating; the public single-shot entry points
 // (MSC, GCP, Traversing) each create their own. Reuse never changes
 // results: every buffer is fully overwritten before it is read, and no two
-// live structures share a buffer (points(k) invalidates the previous point
-// set, which is always dead by then).
+// live structures share a buffer (an embedding, like a point set, is
+// invalidated by the next one, which is always dead by then).
 type scratch struct {
-	g2l    []int32 // global → local index over active neurons; -1 = inactive
-	local  graph.CSR
-	lanWS  matrix.LanczosWS
-	kmWS   kmeans.Workspace
-	ptsBuf []float64
-	ptsHdr [][]float64
+	g2l     []int32 // global → local index over active neurons; -1 = inactive
+	local   graph.CSR
+	eig     matrix.SymEig
+	invSqrt []float64 // D^{-1/2} of the dense-path embedding
+	lanWS   matrix.LanczosWS
+	kmWS    kmeans.Workspace
+	ptsBuf  []float64
+	ptsHdr  [][]float64
 
 	// Multilevel-mode state; zero (and unused) on the default flat path.
 	ml        mlOptions
@@ -71,7 +75,7 @@ type scratch struct {
 	opFn      matrix.MulVecFunc // stored once: sc.lapOp.Mul without a per-call closure
 	rng       *rand.Rand        // re-seeded per warm solve; no allocation per iteration
 	uDense    *matrix.Dense     // D^{-1/2}-scaled eigenvector matrix of the warm path
-	emb       spectralEmbedding // the warm path's reused embedding header
+	emb       spectralEmbedding // the dense and warm paths' reused embedding header
 	activeBuf []int
 }
 
@@ -109,8 +113,13 @@ func (sc *scratch) collectActive(csr *graph.CSR, n int) ([]int, []int32) {
 // extracted with Lanczos, and points() clamps to what is available.
 type spectralEmbedding struct {
 	active []int
-	u      *matrix.Dense // len(active) × cols
 	cols   int
+	// Dense path: the eigenvectors w of D^{-1/2}·L·D^{-1/2} in the scratch
+	// eigensolver, read as u = D^{-1/2}·w.
+	eig     *matrix.SymEig
+	invSqrt []float64
+	// Lanczos paths: u itself, len(active) × cols.
+	u *matrix.Dense
 }
 
 func newSpectralEmbedding(w *graph.Conn, kHint, workers int, sc *scratch) (*spectralEmbedding, error) {
@@ -126,25 +135,34 @@ func newSpectralEmbedding(w *graph.Conn, kHint, workers int, sc *scratch) (*spec
 	if na > lanczosCutoff {
 		return lanczosEmbedding(csr, active, g2l, kHint, workers, sc)
 	}
-	// Dense path: the restricted Laplacian is filled edge-by-edge from the
-	// CSR rows in O(E + na) — never by copying an n×n dense matrix.
-	lSub := matrix.NewDense(na, na)
-	dSub := make([]float64, na)
+	// Dense path: the generalized problem reduces to the symmetric one on
+	// M = D^{-1/2}·L·D^{-1/2}, written edge-by-edge from the CSR rows in
+	// O(E + na) straight into the scratch eigensolver's buffer and
+	// diagonalized where it sits. Off-diagonal entries are (−s_a)·s_b with
+	// s = D^{-1/2}, so M is exactly symmetric and needs no symmetrization
+	// pass; each entry is the product GeneralizedSym forms, bit for bit.
+	sc.invSqrt = growF64(sc.invSqrt, na)
+	invSqrt := sc.invSqrt
 	for a, i := range active {
-		dSub[a] = lapDeg[i]
+		invSqrt[a] = 1 / math.Sqrt(lapDeg[i])
+	}
+	m := sc.eig.Reset(na)
+	for a, i := range active {
+		row, sa := m[a*na:(a+1)*na], invSqrt[a]
 		for _, j := range csr.Row(i) {
 			if int(j) == i {
 				continue // self-loops do not contribute to the Laplacian
 			}
-			lSub.Set(a, int(g2l[j]), -1)
+			b := g2l[j]
+			row[b] = -sa * invSqrt[b]
 		}
-		lSub.Set(a, a, lapDeg[i])
+		row[a] = lapDeg[i] * sa * sa
 	}
-	_, u, err := matrix.GeneralizedSymN(lSub, dSub, workers)
-	if err != nil {
+	if err := sc.eig.Solve(); err != nil {
 		return nil, fmt.Errorf("core: spectral embedding: %w", err)
 	}
-	return &spectralEmbedding{active: active, u: u, cols: na}, nil
+	sc.emb = spectralEmbedding{active: active, cols: na, eig: &sc.eig, invSqrt: invSqrt}
+	return &sc.emb, nil
 }
 
 // lanczosEmbedding extracts the smallest generalized eigenvectors with the
@@ -210,12 +228,21 @@ func (e *spectralEmbedding) points(k int, sc *scratch) [][]float64 {
 		sc.ptsHdr = make([][]float64, na)
 	}
 	pts := sc.ptsHdr[:na]
-	for r := 0; r < na; r++ {
-		p := buf[r*k : (r+1)*k : (r+1)*k]
+	for r := range pts {
+		pts[r] = buf[r*k : (r+1)*k : (r+1)*k]
+	}
+	if e.eig != nil {
 		for c := 0; c < k; c++ {
+			for r, x := range e.eig.Vector(c) {
+				buf[r*k+c] = e.invSqrt[r] * x
+			}
+		}
+		return pts
+	}
+	for r, p := range pts {
+		for c := range p {
 			p[c] = e.u.At(r, c)
 		}
-		pts[r] = p
 	}
 	return pts
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,14 +284,20 @@ func TestGeneralizedSymIdentityDReducesToStandard(t *testing.T) {
 	}
 }
 
-func BenchmarkEigSym100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randSym(100, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := EigSym(a); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkEigSym times the dense eigensolver on normalized graph
+// Laplacians at 95% sparsity: at the paper's smallest and largest
+// testbench sizes (tb1 has 300 neurons, tb3 500) and at n=100.
+func BenchmarkEigSym(b *testing.B) {
+	for _, n := range []int{100, 300, 500} {
+		l, deg := pinLaplacian(n, n, 0.05, 0.05, int64(n))
+		a := normalized(l, deg)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := EigSym(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

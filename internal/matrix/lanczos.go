@@ -29,21 +29,14 @@ type LanczosWS struct {
 	alpha    []float64
 	beta     []float64
 	proj     []float64
-	zBuf     []float64
 
-	// Adaptive-solver state (LanczosSmallestFrom): tridiagonal scratch, the
-	// ws-owned output the warm path returns, and the selection buffers of
-	// the allocation-free smallest-k extraction.
-	dwork   []float64
-	ework   []float64
-	valBuf  []float64
-	outBuf  []float64
-	out     Dense
-	zwork   Dense
-	selBuf  []int32
-	usedBuf []bool
-	resY    []float64 // assembled Ritz vector of the residual verification
-	resAY   []float64 // A·y of the residual verification
+	eig    SymEig    // eigensolver of the tridiagonal projection
+	ritzZ  []float64 // its k leading eigenvectors, gathered m×k for assembly
+	valBuf []float64 // the adaptive solver's ws-owned output
+	outBuf []float64
+	out    Dense
+	resY   []float64 // assembled Ritz vector of the residual verification
+	resAY  []float64 // A·y of the residual verification
 }
 
 func growFloats(buf []float64, n int) []float64 {
@@ -179,46 +172,59 @@ func LanczosSmallestWS(ws *LanczosWS, mul MulVecFunc, n, k int, rng *rand.Rand, 
 	if k > m {
 		k = m
 	}
-	// Eigensolve the m×m tridiagonal projection. d and e are per-call: d's
-	// head is returned as the eigenvalues and must outlive the workspace.
-	d := append([]float64(nil), alpha[:m]...)
-	e := make([]float64, m)
-	copy(e[1:], beta[:m-1])
-	ws.zBuf = growFloats(ws.zBuf, m*m)
-	z := &Dense{rows: m, cols: m, data: ws.zBuf}
-	for i := range z.data {
-		z.data[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		z.data[i*m+i] = 1
-	}
-	if err := tql2(z, d, e); err != nil {
+	// Eigensolve the m×m tridiagonal projection and assemble the k smallest
+	// Ritz pairs into fresh outputs.
+	if err := ws.eig.solveTridiagonal(alpha[:m], beta); err != nil {
 		return nil, nil, fmt.Errorf("matrix: Lanczos projection eigensolve: %w", err)
 	}
-	sortEig(d, z)
-	// Assemble the k smallest Ritz pairs. The accumulation into each output
-	// element runs in ascending basis order j — the same order the naive
-	// per-row triple loop uses — but iterates j outer over fixed row chunks
-	// so basis rows and z rows stream contiguously instead of stride-n.
-	// Chunk boundaries depend only on n, so the result is worker-count
-	// independent.
-	values = d[:k]
+	values = make([]float64, k)
+	for i := range values {
+		values[i] = ws.eig.Value(i)
+	}
 	vectors = NewDense(n, k)
-	kk := k
-	parallel.ForChunks(workers, n, ritzChunk, func(_, lo, hi int) {
-		for j := 0; j < m; j++ {
-			bj := basis[j]
-			zrow := z.data[j*m : j*m+kk]
-			for row := lo; row < hi; row++ {
-				b := bj[row]
-				vrow := vectors.data[row*kk : (row+1)*kk]
-				for col, zv := range zrow {
-					vrow[col] += b * zv
-				}
+	ws.ritz(vectors.data, basis, n, k, workers)
+	return values, vectors, nil
+}
+
+// ritz assembles the Ritz vectors of the k smallest pairs of the projection
+// ws.eig solved into out (n×k, row-major): out[row][c] = Σ_j basis[j][row]·
+// z_c[j]. The accumulation into each element runs in ascending basis order
+// j, but iterates j outer over fixed row chunks so basis rows and the
+// gathered eigenvector rows stream contiguously. Chunk boundaries depend
+// only on n, and workers ≤ 1 runs the same order inline without the pool
+// dispatch, so the result is bit-identical for any worker count.
+func (ws *LanczosWS) ritz(out []float64, basis [][]float64, n, k, workers int) {
+	m := len(basis)
+	ws.ritzZ = growFloats(ws.ritzZ, m*k)
+	z := ws.ritzZ
+	for c := 0; c < k; c++ {
+		for j, x := range ws.eig.Vector(c) {
+			z[j*k+c] = x
+		}
+	}
+	clear(out)
+	if workers <= 1 {
+		for lo := 0; lo < n; lo += ritzChunk {
+			ritzRows(out, basis, z, k, lo, min(lo+ritzChunk, n))
+		}
+		return
+	}
+	parallel.ForChunks(workers, n, ritzChunk, func(_, lo, hi int) { ritzRows(out, basis, z, k, lo, hi) })
+}
+
+// ritzRows accumulates rows [lo, hi) of the Ritz vectors from the basis and
+// the gathered m×k eigenvector matrix z, in ascending basis order.
+func ritzRows(out []float64, basis [][]float64, z []float64, k, lo, hi int) {
+	for j, bj := range basis {
+		zrow := z[j*k : (j+1)*k]
+		for row := lo; row < hi; row++ {
+			b := bj[row]
+			vrow := out[row*k : (row+1)*k]
+			for col, zv := range zrow {
+				vrow[col] += b * zv
 			}
 		}
-	})
-	return values, vectors, nil
+	}
 }
 
 // orthoChunk and ritzChunk are the fixed element-chunk sizes of the blocked
@@ -544,59 +550,17 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 		k = m
 	}
 	// Final tridiagonal eigensolve and Ritz assembly into ws-owned output.
-	ws.dwork = growFloats(ws.dwork, m)
-	ws.ework = growFloats(ws.ework, m)
-	d := ws.dwork
-	e := ws.ework
-	copy(d, alpha[:m])
-	for i := range e {
-		e[i] = 0
-	}
-	copy(e[1:], beta[:min(m-1, len(beta))])
-	z := ws.identity(m)
-	if err := tql2(z, d, e); err != nil {
+	if err := ws.eig.solveTridiagonal(alpha[:m], beta); err != nil {
 		return nil, nil, m, fmt.Errorf("matrix: Lanczos projection eigensolve: %w", err)
 	}
-	sel := ws.selectSmallest(d, k)
 	ws.valBuf = growFloats(ws.valBuf, k)
-	for i, s := range sel {
-		ws.valBuf[i] = d[s]
+	for i := range ws.valBuf {
+		ws.valBuf[i] = ws.eig.Value(i)
 	}
 	ws.outBuf = growFloats(ws.outBuf, n*k)
-	ws.out = Dense{rows: n, cols: k, data: ws.outBuf[:n*k]}
-	out := ws.out.data
-	for i := range out {
-		out[i] = 0
-	}
-	if workers <= 1 {
-		for j := 0; j < m; j++ {
-			bj := basis[j]
-			zrow := z.data[j*m : (j+1)*m]
-			for row := 0; row < n; row++ {
-				b := bj[row]
-				vrow := out[row*k : (row+1)*k]
-				for col, s := range sel {
-					vrow[col] += b * zrow[s]
-				}
-			}
-		}
-	} else {
-		kk := k
-		parallel.ForChunks(workers, n, ritzChunk, func(_, lo, hi int) {
-			for j := 0; j < m; j++ {
-				bj := basis[j]
-				zrow := z.data[j*m : (j+1)*m]
-				for row := lo; row < hi; row++ {
-					b := bj[row]
-					vrow := out[row*kk : (row+1)*kk]
-					for col, s := range sel {
-						vrow[col] += b * zrow[s]
-					}
-				}
-			}
-		})
-	}
-	return ws.valBuf[:k], &ws.out, m, nil
+	ws.out = Dense{rows: n, cols: k, data: ws.outBuf}
+	ws.ritz(ws.out.data, basis, n, k, workers)
+	return ws.valBuf, &ws.out, m, nil
 }
 
 // converged decides the adaptive stop at basis size m = len(alpha) in two
@@ -612,22 +576,11 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 // count, so the stop decision — and therefore the solve — is too.
 func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []float64, bNext float64, k, n int) bool {
 	m := len(alpha)
-	ws.dwork = growFloats(ws.dwork, m)
-	ws.ework = growFloats(ws.ework, m)
-	d := ws.dwork
-	e := ws.ework
-	copy(d, alpha)
-	for i := range e {
-		e[i] = 0
-	}
-	copy(e[1:], beta[:min(m-1, len(beta))])
-	z := ws.identity(m)
-	if tql2(z, d, e) != nil {
+	if ws.eig.solveTridiagonal(alpha, beta) != nil {
 		return false
 	}
-	sel := ws.selectSmallest(d, k)
 	scale := 0.0
-	for _, v := range d[:m] {
+	for _, v := range ws.eig.d[:m] {
 		if a := math.Abs(v); a > scale {
 			scale = a
 		}
@@ -635,8 +588,8 @@ func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []
 	if scale == 0 {
 		scale = 1
 	}
-	for _, s := range sel {
-		if bNext*math.Abs(z.data[(m-1)*m+int(s)]) > adaptTol*scale {
+	for c := 0; c < k; c++ {
+		if bNext*math.Abs(ws.eig.Vector(c)[m-1]) > adaptTol*scale {
 			return false
 		}
 	}
@@ -644,12 +597,9 @@ func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []
 	ws.resY = growFloats(ws.resY, n)
 	ws.resAY = growFloats(ws.resAY, n)
 	y, ay := ws.resY, ws.resAY
-	for _, s := range sel {
-		for i := range y {
-			y[i] = 0
-		}
-		for j := 0; j < m; j++ {
-			zj := z.data[j*m+int(s)]
+	for c := 0; c < k; c++ {
+		clear(y)
+		for j, zj := range ws.eig.Vector(c) {
 			if zj == 0 {
 				continue
 			}
@@ -659,7 +609,7 @@ func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []
 			}
 		}
 		mul(ay, y)
-		theta := d[s]
+		theta := ws.eig.Value(c)
 		res := 0.0
 		for i := range y {
 			r := ay[i] - theta*y[i]
@@ -670,53 +620,6 @@ func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []
 		}
 	}
 	return true
-}
-
-// identity sizes zBuf as an m×m identity and returns a Dense header over it.
-func (ws *LanczosWS) identity(m int) *Dense {
-	ws.zBuf = growFloats(ws.zBuf, m*m)
-	ws.zwork = Dense{rows: m, cols: m, data: ws.zBuf[:m*m]}
-	z := &ws.zwork
-	for i := range z.data {
-		z.data[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		z.data[i*m+i] = 1
-	}
-	return z
-}
-
-// selectSmallest returns the indices of the k smallest entries of d in
-// ascending value order (ties toward the lower index) without sorting d —
-// an allocation-free replacement for sortEig in the adaptive solver, whose
-// workspace retains the selection buffer.
-func (ws *LanczosWS) selectSmallest(d []float64, k int) []int32 {
-	m := len(d)
-	if cap(ws.selBuf) < k {
-		ws.selBuf = make([]int32, k)
-	}
-	sel := ws.selBuf[:k]
-	if cap(ws.usedBuf) < m {
-		ws.usedBuf = make([]bool, m)
-	}
-	used := ws.usedBuf[:m]
-	for i := range used {
-		used[i] = false
-	}
-	for i := 0; i < k; i++ {
-		best := -1
-		for j := 0; j < m; j++ {
-			if used[j] {
-				continue
-			}
-			if best < 0 || d[j] < d[best] {
-				best = j
-			}
-		}
-		used[best] = true
-		sel[i] = int32(best)
-	}
-	return sel
 }
 
 // orthogonalizeN is orthogonalize with an inline serial path for workers ≤ 1:

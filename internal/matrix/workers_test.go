@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,6 +9,11 @@ import (
 // Worker-invariance tests: every parallel kernel in this package must be
 // bit-identical to its serial form, because each output element is computed
 // by exactly one goroutine with a fixed, worker-independent operation order.
+// They compare IEEE-754 bit patterns: == would accept a +0/−0 flip and
+// reject two equal NaNs.
+
+// sameBits reports whether a and b have identical IEEE-754 representations.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func randomLaplacian(n int, seed int64) (*Dense, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -45,13 +51,13 @@ func TestGeneralizedSymWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range v1 {
-			if vn[i] != v1[i] {
+			if !sameBits(vn[i], v1[i]) {
 				t.Fatalf("workers=%d: eigenvalue[%d] = %g, serial %g", workers, i, vn[i], v1[i])
 			}
 		}
 		for i := 0; i < u1.Rows(); i++ {
 			for j := 0; j < u1.Cols(); j++ {
-				if un.At(i, j) != u1.At(i, j) {
+				if !sameBits(un.At(i, j), u1.At(i, j)) {
 					t.Fatalf("workers=%d: U[%d,%d] = %g, serial %g (must be bit-identical)",
 						workers, i, j, un.At(i, j), u1.At(i, j))
 				}
@@ -85,13 +91,13 @@ func TestLanczosWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{2, 4, 9} {
 		vn, un := run(workers)
 		for i := range v1 {
-			if vn[i] != v1[i] {
+			if !sameBits(vn[i], v1[i]) {
 				t.Fatalf("workers=%d: ritz value[%d] = %g, serial %g", workers, i, vn[i], v1[i])
 			}
 		}
 		for i := 0; i < u1.Rows(); i++ {
 			for j := 0; j < u1.Cols(); j++ {
-				if un.At(i, j) != u1.At(i, j) {
+				if !sameBits(un.At(i, j), u1.At(i, j)) {
 					t.Fatalf("workers=%d: vector[%d,%d] = %g, serial %g (must be bit-identical)",
 						workers, i, j, un.At(i, j), u1.At(i, j))
 				}
