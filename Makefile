@@ -34,11 +34,13 @@ lint:
 	golangci-lint run ./...
 
 # Short fuzz passes over the attacker-facing surfaces: the network-format
-# parser and the cache-key derivation (CI's fuzz-smoke job runs the same
-# two targets; plain `go test` replays only the seed corpus).
+# parser, the cache-key derivation, and the artifact decoder (CI's
+# fuzz-smoke job runs the same three targets; plain `go test` replays only
+# the seed corpus).
 fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s -run '^$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzCanonicalHash -fuzztime=30s -run '^$$' .
+	$(GO) test -fuzz=FuzzDecodeArtifact -fuzztime=30s -fuzzminimizetime=5s -run '^$$' .
 
 # Run the compile daemon locally (ephemeral port, verbose logging).
 serve:

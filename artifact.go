@@ -6,7 +6,9 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/graph"
 	"repro/internal/netlist"
+	"repro/internal/route"
 	"repro/internal/xbar"
 )
 
@@ -15,13 +17,14 @@ import (
 // assignment, the placement coordinates, and the committed routing paths —
 // plus the config vector the compile ran under, so a consumer can refuse to
 // resume under an incompatible configuration. Derivable state (the netlist,
-// the congestion map, the cost report) is rebuilt on restore rather than
-// stored; diagnostic state (stage times, the ISC trace) is dropped.
+// the routing grid's dimensions, the congestion map, the cost report) is
+// rebuilt on restore rather than stored; diagnostic state (stage times, the
+// ISC trace) is dropped.
 
 // artifactFormat tags the serialized artifact. Bump it when the layout or
 // the meaning of any stored field changes, so stale cached artifacts are
 // rejected instead of misread.
-const artifactFormat = "autoncs-artifact/v1"
+const artifactFormat = "autoncs-artifact/v2"
 
 type artifactJSON struct {
 	Format       string          `json:"format"`
@@ -42,10 +45,7 @@ type placementJSON struct {
 }
 
 type routingJSON struct {
-	Cols          int       `json:"cols"`
-	Rows          int       `json:"rows"`
 	FinalCapacity int       `json:"final_capacity"`
-	Negotiated    bool      `json:"negotiated"`
 	Paths         [][]int   `json:"paths"`
 	WireLength    []float64 `json:"wire_length"`
 }
@@ -78,9 +78,7 @@ func EncodeArtifact(res *Result, cfg Config) ([]byte, error) {
 		}
 		rt := res.Routing
 		art.Routing = &routingJSON{
-			Cols: rt.Cols, Rows: rt.Rows,
 			FinalCapacity: rt.FinalCapacity,
-			Negotiated:    rt.Negotiated,
 			Paths:         rt.Paths,
 			WireLength:    rt.WireLength,
 		}
@@ -126,6 +124,9 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("autoncs: decoding artifact assignment: %w", err)
 	}
+	if err := checkAssignment(a); err != nil {
+		return nil, fmt.Errorf("autoncs: artifact assignment: %w", err)
+	}
 	out := &Artifact{ConfigVector: art.ConfigVector, Assignment: a}
 	if (art.Placement == nil) != (art.Routing == nil) {
 		return nil, fmt.Errorf("autoncs: artifact carries placement xor routing; both or neither required")
@@ -144,13 +145,8 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		if len(r.Paths) != len(r.WireLength) {
 			return nil, fmt.Errorf("autoncs: artifact routing has %d paths, %d wire lengths", len(r.Paths), len(r.WireLength))
 		}
-		if r.Cols <= 0 || r.Rows <= 0 {
-			return nil, fmt.Errorf("autoncs: artifact routing grid %dx%d", r.Cols, r.Rows)
-		}
 		out.Routing = &Routing{
-			Cols: r.Cols, Rows: r.Rows,
 			FinalCapacity: r.FinalCapacity,
-			Negotiated:    r.Negotiated,
 			Paths:         r.Paths,
 			WireLength:    r.WireLength,
 		}
@@ -158,13 +154,73 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	return out, nil
 }
 
+// checkAssignment verifies that a decoded assignment is a valid mapping of
+// the network it implies, before anything indexes by its neuron ids: at
+// most graph.MaxLoadNeurons neurons, every id in range, positive crossbar
+// sizes hosting at most Size inputs and outputs, crossbar connections inside
+// their block, nothing covered twice, and Total equal to the connections
+// covered. These are Assignment.Validate's checks against BaseNetwork(a),
+// made in memory proportional to the artifact instead of two N² bitsets,
+// so a few bytes claiming a large N cannot make a decode allocate for it.
+func checkAssignment(a *Assignment) error {
+	if a.N > graph.MaxLoadNeurons {
+		return fmt.Errorf("%d neurons exceed the %d-neuron cap", a.N, graph.MaxLoadNeurons)
+	}
+	inRange := func(i int) bool { return i >= 0 && i < a.N }
+	covered := make(map[graph.Edge]bool)
+	cover := func(e graph.Edge) error {
+		if !inRange(e.From) || !inRange(e.To) {
+			return fmt.Errorf("connection %d→%d names a neuron outside 0..%d", e.From, e.To, a.N-1)
+		}
+		if covered[e] {
+			return fmt.Errorf("connection %d→%d covered twice", e.From, e.To)
+		}
+		covered[e] = true
+		return nil
+	}
+	for k, cb := range a.Crossbars {
+		if cb.Size <= 0 || len(cb.Inputs) > cb.Size || len(cb.Outputs) > cb.Size {
+			return fmt.Errorf("crossbar %d of size %d cannot host %d inputs × %d outputs",
+				k, cb.Size, len(cb.Inputs), len(cb.Outputs))
+		}
+		block := make(map[int]int, len(cb.Inputs)+len(cb.Outputs)) // bit 0: input, bit 1: output
+		for side, ids := range [2][]int{cb.Inputs, cb.Outputs} {
+			for _, n := range ids {
+				if !inRange(n) {
+					return fmt.Errorf("crossbar %d names neuron %d outside 0..%d", k, n, a.N-1)
+				}
+				block[n] |= 1 << side
+			}
+		}
+		for _, e := range cb.Conns {
+			if err := cover(e); err != nil {
+				return fmt.Errorf("crossbar %d: %w", k, err)
+			}
+			if block[e.From]&1 == 0 || block[e.To]&2 == 0 {
+				return fmt.Errorf("crossbar %d connection %d→%d outside its block", k, e.From, e.To)
+			}
+		}
+	}
+	for _, e := range a.Synapses {
+		if err := cover(e); err != nil {
+			return fmt.Errorf("synapse: %w", err)
+		}
+	}
+	if a.Total != len(covered) {
+		return fmt.Errorf("assignment total %d, %d connections covered", a.Total, len(covered))
+	}
+	return nil
+}
+
 // Restore rebuilds a full Result from the artifact under cfg, which must
 // carry the same config vector the artifact was stamped with (the caller
 // checks that — Restore only needs cfg for the derivable state). The
-// netlist is rebuilt from the assignment, the routed total and congestion
-// map from the stored paths, and the cost report re-evaluated; all are
-// bit-identical to the original compile's because every one is a
-// deterministic function of the stored state.
+// netlist is rebuilt from the assignment, the routing grid's dimensions
+// from the placement box and cfg.Route.Theta, the routed total and
+// congestion map from the stored paths, and the cost report re-evaluated;
+// all are bit-identical to the original compile's because every one is a
+// deterministic function of the stored state. A box whose grid would
+// exceed route.MaxGridBins is refused before anything is sized by it.
 func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	res := &Result{Assignment: a.Assignment, Device: cfg.Device}
 	if a.Placement == nil {
@@ -182,7 +238,12 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("autoncs: artifact routing covers %d wires, netlist has %d",
 			len(a.Routing.Paths), len(nl.Wires))
 	}
-	rt := a.Routing
+	p, rt := a.Placement, a.Routing
+	var ok bool
+	if rt.Cols, rt.Rows, ok = route.GridDims(p.Width(), p.Height(), cfg.Route.Theta); !ok {
+		return nil, fmt.Errorf("autoncs: artifact placement box %g×%g µm at θ=%g µm exceeds the %d-bin routing grid cap",
+			p.Width(), p.Height(), cfg.Route.Theta, route.MaxGridBins)
+	}
 	rt.Total = 0
 	for _, l := range rt.WireLength {
 		rt.Total += l

@@ -99,14 +99,6 @@ const (
 	StageCost       = obs.StageCost
 )
 
-// The negotiated router's knob defaults, re-exported so callers can spell
-// Config.Route values explicitly; a zero knob means the same default.
-const (
-	DefaultPresentFactor     = route.DefaultPresentFactor
-	DefaultHistoryGain       = route.DefaultHistoryGain
-	DefaultNegotiationRounds = route.DefaultNegotiationRounds
-)
-
 // Stages lists every pipeline stage in execution order, for deterministic
 // iteration over Result.StageTimes.
 func Stages() []Stage { return obs.Stages() }

@@ -51,10 +51,6 @@ type CompileRequest struct {
 	// MultilevelLevels is Config.MultilevelLevels (0 = adaptive).
 	MultilevelLevels int `json:"multilevel_levels,omitempty"`
 
-	// LegacyRouter selects the capacity-relaxation router instead of the
-	// default negotiated-congestion engine (Config.Route.Negotiate=false).
-	LegacyRouter bool `json:"legacy_router,omitempty"`
-
 	// Base asks for an incremental delta recompile: the 64-char hex result
 	// key of a previous compile of a nearby network (the X-Autoncs-Key of
 	// its result). The daemon restores that compile's cached artifact and
@@ -345,9 +341,10 @@ type errorBody struct {
 // alone are ambiguous — a 409 may mean "job not done" or "incompatible
 // delta base" — so errors a client branches on carry one of these.
 const (
-	// CodeBaseArtifactMissing: the ?base= key has no cached artifact on the
-	// daemon (the base compile never ran here, or its artifact was
-	// evicted). Recover by recompiling the base in full. HTTP 404.
+	// CodeBaseArtifactMissing: the ?base= key has no usable cached artifact
+	// on the daemon (the base compile never ran here, its artifact was
+	// evicted, or it was stored in a format this daemon no longer reads).
+	// Recover by recompiling the base in full. HTTP 404.
 	CodeBaseArtifactMissing = "base_artifact_missing"
 	// CodeBaseConfigMismatch: the base compile ran under a different config
 	// vector than the delta request, so its artifact cannot seed this

@@ -136,9 +136,6 @@ func (r CompileRequest) Spec(maxNeurons int) (*Spec, error) {
 	cfg.MultilevelCutoff = r.MultilevelCutoff
 	cfg.CoarsenRatio = r.CoarsenRatio
 	cfg.MultilevelLevels = r.MultilevelLevels
-	if r.LegacyRouter {
-		cfg.Route.Negotiate = false
-	}
 
 	key, err := autoncs.CanonicalHash(net, cfg)
 	if err != nil {

@@ -43,7 +43,6 @@ func main() {
 		quantile = flag.Float64("quantile", 0, "ISC partial-selection quantile (0 = paper's 0.75)")
 		multilvl = flag.Bool("multilevel", false, "cluster large iterations with the multilevel engine (see docs/clustering.md)")
 		mlCutoff = flag.Int("ml-cutoff", 0, "with -multilevel: active-neuron count at or below which iterations use the flat engine (0 = default 1024)")
-		legacyRt = flag.Bool("legacy-router", false, "route with the capacity-relaxation engine instead of negotiated congestion (see docs/routing.md)")
 		loadPath = flag.String("load", "", "load the network from a file (autoncs-net format)")
 		savePath = flag.String("save", "", "save the generated network to a file before compiling")
 		dumpPath = flag.String("dump", "", "write the resulting hybrid assignment as JSON")
@@ -109,7 +108,6 @@ func main() {
 			SkipPhysical:      *skipPhys,
 			Multilevel:        *multilvl,
 			MultilevelCutoff:  *mlCutoff,
-			LegacyRouter:      *legacyRt,
 			Priority:          *priority,
 			Base:              *baseKey,
 		}
@@ -127,7 +125,6 @@ func main() {
 	cfg.SelectionQuantile = *quantile
 	cfg.Multilevel = *multilvl
 	cfg.MultilevelCutoff = *mlCutoff
-	cfg.Route.Negotiate = !*legacyRt
 	cfg.Workers = *workers
 	cfg.Observer = stderrObserver(*verbose, *trace)
 

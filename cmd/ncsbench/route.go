@@ -13,13 +13,13 @@ import (
 
 // routeStage benchmarks the routing stage in isolation on the flow's real
 // workload: the clustered (ISC) netlist of an n-neuron sparse network,
-// placed once and then routed by the legacy capacity-relaxation engine and
-// by the negotiated-congestion engine, with wall time, wirelength, peak bin
-// congestion, and search work side by side — the explicit quality
-// accounting of the negotiated path. Every reported counter is
-// deterministic for any -workers value; only the wall times vary.
+// placed once and then routed, with wall time, wirelength, peak bin
+// congestion, and the negotiation's search work. Every reported counter is
+// deterministic for any -workers value; only the wall time varies. The
+// metrics keep their negotiated_ names so reports stay comparable with
+// the route rows already in BENCH_ncsbench.json.
 func routeStage(ctx context.Context, n int, seed int64, workers int, rec *reporter) error {
-	header(fmt.Sprintf("route — legacy vs negotiated-congestion router (%d neurons, clustered)", n))
+	header(fmt.Sprintf("route — negotiated-congestion router (%d neurons, clustered)", n))
 	net := autoncs.RandomSparseNetwork(n, 0.94, seed)
 	cfg := autoncs.DefaultConfig()
 	cfg.Seed = seed
@@ -41,51 +41,24 @@ func routeStage(ctx context.Context, n int, seed int64, workers int, rec *report
 	}
 	fmt.Printf("netlist: %d cells, %d wires\n", len(nl.Cells), len(nl.Wires))
 
-	type outcome struct {
-		wall time.Duration
-		res  *route.Result
-	}
-	engine := func(negotiate bool) (outcome, error) {
-		opts := route.DefaultOptions()
-		opts.Workers = workers
-		opts.Negotiate = negotiate
-		start := time.Now()
-		res, err := route.RouteCtx(ctx, nl, pl, opts)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{wall: time.Since(start), res: res}, nil
-	}
-	legacy, err := engine(false)
+	opts := route.DefaultOptions()
+	opts.Workers = workers
+	start := time.Now()
+	res, err := route.RouteCtx(ctx, nl, pl, opts)
 	if err != nil {
-		return fmt.Errorf("legacy: %w", err)
+		return err
 	}
-	neg, err := engine(true)
-	if err != nil {
-		return fmt.Errorf("negotiated: %w", err)
-	}
-	fmt.Printf("legacy:     %8.3fs  wirelength %.0f µm, max bin %d, capacity %d (%d relaxations), %d expansions\n",
-		legacy.wall.Seconds(), legacy.res.Total, legacy.res.MaxUsage(),
-		legacy.res.FinalCapacity, legacy.res.Relaxations, legacy.res.Expansions)
-	fmt.Printf("negotiated: %8.3fs  wirelength %.0f µm, max bin %d, capacity %d, %d expansions\n",
-		neg.wall.Seconds(), neg.res.Total, neg.res.MaxUsage(),
-		neg.res.FinalCapacity, neg.res.Expansions)
+	wall := time.Since(start)
+	fmt.Printf("route: %8.3fs  wirelength %.0f µm, max bin %d, capacity %d (%d relaxations), %d expansions\n",
+		wall.Seconds(), res.Total, res.MaxUsage(), res.FinalCapacity, res.Relaxations, res.Expansions)
 	fmt.Printf("negotiation: %d rounds, %d rip-ups, peak %d overused edges\n",
-		neg.res.Rounds, neg.res.RipUps, neg.res.OverusedPeak)
-	if legacy.wall > 0 {
-		fmt.Printf("route speedup: %.2fx\n", legacy.wall.Seconds()/neg.wall.Seconds())
-	}
+		res.Rounds, res.RipUps, res.OverusedPeak)
 	rec.metric("wires", float64(len(nl.Wires)))
-	rec.metric("legacy_seconds", legacy.wall.Seconds())
-	rec.metric("legacy_wirelength_um", legacy.res.Total)
-	rec.metric("legacy_max_usage", float64(legacy.res.MaxUsage()))
-	rec.metric("legacy_expansions", float64(legacy.res.Expansions))
-	rec.metric("legacy_relaxations", float64(legacy.res.Relaxations))
-	rec.metric("negotiated_seconds", neg.wall.Seconds())
-	rec.metric("negotiated_wirelength_um", neg.res.Total)
-	rec.metric("negotiated_max_usage", float64(neg.res.MaxUsage()))
-	rec.metric("negotiated_expansions", float64(neg.res.Expansions))
-	rec.metric("negotiated_rounds", float64(neg.res.Rounds))
-	rec.metric("negotiated_ripups", float64(neg.res.RipUps))
+	rec.metric("negotiated_seconds", wall.Seconds())
+	rec.metric("negotiated_wirelength_um", res.Total)
+	rec.metric("negotiated_max_usage", float64(res.MaxUsage()))
+	rec.metric("negotiated_expansions", float64(res.Expansions))
+	rec.metric("negotiated_rounds", float64(res.Rounds))
+	rec.metric("negotiated_ripups", float64(res.RipUps))
 	return nil
 }

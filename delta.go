@@ -508,7 +508,7 @@ func (res *Result) physicalDelta(ctx context.Context, prev *Result, cfg Config, 
 			}
 			rt, reused, err = route.RouteDeltaCtx(ctx, nl, pl, routeOptions(cfg), rw)
 			if err == nil && reused == 0 && offered > 0 {
-				stats.FullRoute = true // negotiation stalled or the grid changed
+				stats.FullRoute = true // the grid changed or every offered path's terminals moved
 			}
 		}
 		if err != nil {

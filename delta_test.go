@@ -3,6 +3,8 @@ package autoncs
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // editNet returns a copy of net with a small localized edit: within the
@@ -343,12 +345,37 @@ func TestArtifactSkipPhysical(t *testing.T) {
 	}
 }
 
-// TestDecodeArtifactRejects: malformed artifacts fail loudly.
+// TestDecodeArtifactRejects: malformed artifacts fail loudly, including
+// assignments that decode but are no valid mapping of any network.
 func TestDecodeArtifactRejects(t *testing.T) {
 	if _, err := DecodeArtifact([]byte(`{"format":"bogus/v9","config_vector":"x"}`)); err == nil {
 		t.Fatal("bogus format accepted")
 	}
 	if _, err := DecodeArtifact([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	crossbar, synapses := tinyArtifact(t, 30), tinyArtifact(t, 12)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		edit func(*Assignment)
+	}{
+		{"neurons over the cap", crossbar, func(a *Assignment) { a.N = graph.MaxLoadNeurons + 1 }},
+		{"crossbar size zero", crossbar, func(a *Assignment) { a.Crossbars[0].Size = 0 }},
+		{"crossbar input out of range", crossbar, func(a *Assignment) { a.Crossbars[0].Inputs[0] = a.N }},
+		{"connection outside its block", crossbar, func(a *Assignment) { a.Crossbars[0].Inputs = a.Crossbars[0].Inputs[1:] }},
+		{"connection covered twice", crossbar, func(a *Assignment) {
+			cb := &a.Crossbars[0]
+			cb.Conns = append(cb.Conns, cb.Conns[0])
+		}},
+		{"total mismatch", crossbar, func(a *Assignment) { a.Total++ }},
+		{"synapse out of range", synapses, func(a *Assignment) { a.Synapses[0].To = -1 }},
+	} {
+		if _, err := DecodeArtifact(withAssignment(t, tc.data, tc.edit)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := DecodeArtifact(withAssignment(t, crossbar, func(*Assignment) {})); err != nil {
+		t.Fatalf("unedited re-encoding rejected: %v", err)
 	}
 }

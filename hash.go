@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/route"
 )
 
 // CanonicalHash returns the SHA-256 content address of a compile: a key
@@ -37,13 +36,9 @@ import (
 //   - UtilizationThreshold keeps 0 as 0 (auto — deterministic given the
 //     hashed network and library); every negative value (DisabledThreshold
 //     included) hashes as -1.
-//   - Route.BatchSize 0 hashes as the router's default batch size.
 //   - The multilevel knobs hash as their effective values (zero spellings
 //     fold to the defaults); with Multilevel off they are inert and all
 //     spellings hash as the defaults.
-//   - The negotiated-congestion knobs (Route.PresentFactor, HistoryGain,
-//     NegotiationRounds) hash the same way: effective values with
-//     Route.Negotiate on, the canonical defaults with it off.
 //   - Negative zero hashes as positive zero for every float knob.
 //
 // Excluded entirely are the knobs the determinism contract proves
@@ -56,7 +51,7 @@ func CanonicalHash(net *Network, cfg Config) ([32]byte, error) {
 		return key, err
 	}
 	h := sha256.New()
-	io.WriteString(h, "autoncs-cache-key/v3\n")
+	io.WriteString(h, "autoncs-cache-key/v4\n")
 	h.Write(net.AppendBinary(nil))
 	writeConfigVector(h, cfg)
 	h.Sum(key[:0])
@@ -78,7 +73,7 @@ func CanonicalHash(net *Network, cfg Config) ([32]byte, error) {
 func ConfigVectorHash(cfg Config) [32]byte {
 	var key [32]byte
 	h := sha256.New()
-	io.WriteString(h, "autoncs-config-vector/v1\n")
+	io.WriteString(h, "autoncs-config-vector/v2\n")
 	writeConfigVector(h, cfg)
 	h.Sum(key[:0])
 	return key
@@ -92,7 +87,7 @@ func ConfigVectorHashHex(cfg Config) string {
 }
 
 // writeConfigVector streams the normalized config fields into w in the
-// canonical v3 field order. CanonicalHash and ConfigVectorHash share this
+// canonical v4 field order. CanonicalHash and ConfigVectorHash share this
 // encoding, so the two stay in lockstep by construction; changing anything
 // here changes the cache-key domain and requires a version-tag bump in both.
 func writeConfigVector(w io.Writer, cfg Config) {
@@ -151,37 +146,7 @@ func writeConfigVector(w io.Writer, cfg Config) {
 	r := cfg.Route
 	e.f64(r.Theta)
 	e.uint(uint64(r.Capacity))
-	e.f64(r.CongestionPenalty)
 	e.uint(uint64(r.MaxRelaxations))
-	bs := r.BatchSize
-	if bs == 0 {
-		bs = route.DefaultOptions().BatchSize
-	}
-	e.uint(uint64(bs))
-	// Negotiated-congestion knobs: inert on the legacy engine, so they fold
-	// to the canonical defaults; with negotiation on, the effective
-	// (defaulted) values hash.
-	if r.Negotiate {
-		e.uint(1)
-		pf, hg, rounds := r.PresentFactor, r.HistoryGain, r.NegotiationRounds
-		if pf == 0 {
-			pf = route.DefaultPresentFactor
-		}
-		if hg == 0 {
-			hg = route.DefaultHistoryGain
-		}
-		if rounds == 0 {
-			rounds = route.DefaultNegotiationRounds
-		}
-		e.f64(pf)
-		e.f64(hg)
-		e.uint(uint64(rounds))
-	} else {
-		e.uint(0)
-		e.f64(route.DefaultPresentFactor)
-		e.f64(route.DefaultHistoryGain)
-		e.uint(route.DefaultNegotiationRounds)
-	}
 
 	e.f64(cfg.Cost.Alpha)
 	e.f64(cfg.Cost.Beta)

@@ -38,17 +38,6 @@ func TestCanonicalHashEquivalences(t *testing.T) {
 		{"route observer ignored", net, func(c *autoncs.Config) { c.Route.Observer = &autoncs.MetricsObserver{} }},
 		{"place observer ignored", net, func(c *autoncs.Config) { c.Place.Observer = &autoncs.MetricsObserver{} }},
 		{"quantile zero = paper default", net, func(c *autoncs.Config) { c.SelectionQuantile = 0.75 }},
-		{"batch size zero = router default", net, func(c *autoncs.Config) { c.Route.BatchSize = 16 }},
-		{"negotiation knobs zero = defaults", net, func(c *autoncs.Config) {
-			c.Route.PresentFactor = 0
-			c.Route.HistoryGain = 0
-			c.Route.NegotiationRounds = 0
-		}},
-		{"negotiation knobs spelled out", net, func(c *autoncs.Config) {
-			c.Route.PresentFactor = autoncs.DefaultPresentFactor
-			c.Route.HistoryGain = autoncs.DefaultHistoryGain
-			c.Route.NegotiationRounds = autoncs.DefaultNegotiationRounds
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,22 +66,6 @@ func TestCanonicalHashEquivalences(t *testing.T) {
 	if hashOf(t, net, qA) != hashOf(t, net, qB) {
 		t.Errorf("two disabled-quantile spellings hash differently")
 	}
-
-	// With negotiation off the negotiation knobs are canonicalized away:
-	// every spelling of the legacy engine hashes identically, and none of
-	// them equals the negotiated default.
-	legA, legB := base, base
-	legA.Route.Negotiate = false
-	legB.Route.Negotiate = false
-	legB.Route.PresentFactor = 2.5
-	legB.Route.HistoryGain = 1.25
-	legB.Route.NegotiationRounds = 7
-	if hashOf(t, net, legA) != hashOf(t, net, legB) {
-		t.Errorf("legacy-router knob spellings hash differently")
-	}
-	if hashOf(t, net, legA) == want {
-		t.Errorf("legacy router hashes equal to negotiated")
-	}
 }
 
 // TestCanonicalHashDistinguishes: any semantic change to the input changes
@@ -120,12 +93,8 @@ func TestCanonicalHashDistinguishes(t *testing.T) {
 		{"place gamma", func(c *autoncs.Config) { c.Place.Gamma = 3 }},
 		{"place max outer", func(c *autoncs.Config) { c.Place.MaxOuter++ }},
 		{"route theta", func(c *autoncs.Config) { c.Route.Theta = 1.5 }},
-		{"route batch size", func(c *autoncs.Config) { c.Route.BatchSize = 8 }},
 		{"route capacity", func(c *autoncs.Config) { c.Route.Capacity++ }},
-		{"route engine", func(c *autoncs.Config) { c.Route.Negotiate = false }},
-		{"route present factor", func(c *autoncs.Config) { c.Route.PresentFactor = 0.9 }},
-		{"route history gain", func(c *autoncs.Config) { c.Route.HistoryGain = 0.7 }},
-		{"route negotiation rounds", func(c *autoncs.Config) { c.Route.NegotiationRounds = 5 }},
+		{"route max relaxations", func(c *autoncs.Config) { c.Route.MaxRelaxations = 3 }},
 		{"cost alpha", func(c *autoncs.Config) { c.Cost.Alpha = 2 }},
 	}
 	for _, tc := range cases {

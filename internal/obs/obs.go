@@ -140,35 +140,32 @@ type PlaceStats struct {
 type RouteBatch struct {
 	Batch     int // 1-based batch counter across the whole route
 	Wires     int // wires speculatively searched in this batch
-	Committed int // paths that fit and committed
-	Retried   int // paths invalidated by a batch-mate, re-queued
-	Failed    int // wires with no path under the current capacity
+	Committed int // paths committed
 	Capacity  int // the virtual capacity the batch ran under
 }
 
-// RouteRelaxation records one capacity relaxation: the router raised the
-// virtual edge capacity to re-route the wires that failed.
+// RouteRelaxation records one capacity relaxation: a stalled negotiation
+// round raised the virtual edge capacity, or a negotiation that could not
+// converge ended by raising it to the peak edge demand.
 type RouteRelaxation struct {
 	Relaxations int // total relaxations so far (1-based)
 	Capacity    int // the new virtual capacity
-	Pending     int // wires awaiting re-route under the new capacity
+	Pending     int // wires ripped up to re-route under it (0 on the final one)
 }
 
-// RouteStats summarizes one finished routing: which engine produced the
-// result, the negotiation work (rounds, rip-ups, the peak count of
-// capacity-exceeding edges, per-round wall times), total maze-search heap
-// expansions, and the capacity-relaxation history — the legacy engine's
-// loop, or the bounded fallback a stalled negotiation degrades to. Emitted
-// once per route, after the last commit, by both engines. The round timings
-// are diagnostic only; every counter is deterministic for any worker count.
+// RouteStats summarizes one finished routing: the negotiation work
+// (rounds, rip-ups, the peak count of capacity-exceeding edges, per-round
+// wall times), total maze-search heap expansions, and the
+// capacity-relaxation history. Emitted once per route, after the last
+// commit. The round timings are diagnostic only; every counter is
+// deterministic for any worker count.
 type RouteStats struct {
-	Negotiated    bool            // the negotiated-congestion engine produced the result
 	Wires         int             // wires routed
-	Rounds        int             // negotiation rounds run (0 on the legacy engine)
+	Rounds        int             // negotiation rounds run
 	RipUps        int             // wires ripped up and rerouted, summed over rounds
 	Expansions    int64           // heap pops across every maze search
 	OverusedPeak  int             // most over-capacity edges seen after any round
-	Relaxations   int             // capacity relaxations (legacy loop or fallback)
+	Relaxations   int             // capacity relaxations, the final one included
 	FinalCapacity int             // virtual edge capacity the result was committed under
 	RoundTimes    []time.Duration // wall time of each negotiation round
 }

@@ -63,7 +63,7 @@ func TestMetricsAccumulation(t *testing.T) {
 		StageStart{Stage: StageRoute},
 		RouteBatch{Batch: 1, Wires: 16, Committed: 16, Capacity: 8},
 		RouteRelaxation{Relaxations: 1, Capacity: 9, Pending: 2},
-		RouteStats{Negotiated: true, Wires: 16, Rounds: 3, RipUps: 5, Expansions: 1234,
+		RouteStats{Wires: 16, Rounds: 3, RipUps: 5, Expansions: 1234,
 			OverusedPeak: 7, Relaxations: 1, FinalCapacity: 9, RoundTimes: roundTimes},
 		StageEnd{Stage: StageRoute, Elapsed: 2 * time.Second, Err: failure},
 		CompileEnd{Elapsed: 6 * time.Second, Err: failure},
@@ -98,7 +98,7 @@ func TestMetricsAccumulation(t *testing.T) {
 		s.LastClusterStats.RefineMoves != 33 {
 		t.Errorf("LastClusterStats = %+v", s.LastClusterStats)
 	}
-	if !s.LastRouteStats.Negotiated || s.LastRouteStats.Rounds != 3 ||
+	if s.LastRouteStats.Rounds != 3 ||
 		s.LastRouteStats.Expansions != 1234 || s.LastRouteStats.FinalCapacity != 9 ||
 		len(s.LastRouteStats.RoundTimes) != 2 {
 		t.Errorf("LastRouteStats = %+v", s.LastRouteStats)
@@ -127,7 +127,7 @@ func TestSlogObserverLevels(t *testing.T) {
 	ob.Observe(RouteBatch{Batch: 2, Wires: 16})                                   // Debug: filtered at Info
 	ob.Observe(PlaceStats{Outer: 4, FieldSolves: 480, SwapsAccepted: 17})         // Info: summary event
 	ob.Observe(ClusterStats{MultilevelRounds: 3, Eigensolves: 12, WarmStarts: 2}) // Info: summary event
-	ob.Observe(RouteStats{Negotiated: true, Wires: 16, Rounds: 3, Expansions: 99, FinalCapacity: 9})
+	ob.Observe(RouteStats{Wires: 16, Rounds: 3, Expansions: 99, FinalCapacity: 9})
 	ob.Observe(StageEnd{Stage: StageClustering, Elapsed: time.Second, Err: errors.New("bad")})
 	out := buf.String()
 	for _, want := range []string{"stage start", "isc iteration", "iter=3", "place stats", "fieldSolves=480", "cluster stats", "eigensolves=12", "route stats", "expansions=99", "stage end", "err=bad"} {

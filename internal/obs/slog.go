@@ -64,13 +64,13 @@ func (s slogObserver) Observe(e Event) {
 	case RouteBatch:
 		s.l.Debug("route batch",
 			"batch", e.Batch, "wires", e.Wires, "committed", e.Committed,
-			"retried", e.Retried, "failed", e.Failed, "capacity", e.Capacity)
+			"capacity", e.Capacity)
 	case RouteRelaxation:
 		s.l.Info("route relaxation",
 			"relaxations", e.Relaxations, "capacity", e.Capacity, "pending", e.Pending)
 	case RouteStats:
 		s.l.Info("route stats",
-			"negotiated", e.Negotiated, "wires", e.Wires, "rounds", e.Rounds,
+			"wires", e.Wires, "rounds", e.Rounds,
 			"ripUps", e.RipUps, "expansions", e.Expansions,
 			"overusedPeak", e.OverusedPeak, "relaxations", e.Relaxations,
 			"finalCapacity", e.FinalCapacity)

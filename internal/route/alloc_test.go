@@ -12,32 +12,20 @@ func testGrid(cols, rows int) *grid {
 	}
 }
 
-// TestMazeSearchAllocs pins the warm maze-search contract: once a
-// searchState has grown to the grid size, a full corner-to-corner A* search
-// allocates only the returned path. The previous implementation allocated
-// two O(bins) arrays plus a boxed heap entry per push, per search.
-func TestMazeSearchAllocs(t *testing.T) {
-	g := testGrid(40, 40)
-	// Mild congestion so the search explores beyond one monotone staircase.
-	for i := range g.hUsage {
-		if i%5 == 0 {
-			g.hUsage[i] = 3
+// testNegotiator prices g at capacity 8 in round 3, with history on every
+// 11th horizontal edge.
+func testNegotiator(g *grid) *negotiator {
+	ng := &negotiator{
+		g: g, capacity: 8, round: 3,
+		histH: make([]float64, len(g.hUsage)),
+		histV: make([]float64, len(g.vUsage)),
+	}
+	for i := range ng.histH {
+		if i%11 == 0 {
+			ng.histH[i] = 4 * g.theta
 		}
 	}
-	st := new(searchState)
-	s, d := 0, g.cols*g.rows-1
-	if p := g.dijkstra(st, s, d, 8, 0.3); p == nil {
-		t.Fatal("warm-up search found no path")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if p := g.dijkstra(st, s, d, 8, 0.3); p == nil {
-			t.Fatal("search found no path")
-		}
-	})
-	// One allocation for the exact-size path; nothing else.
-	if allocs > 1 {
-		t.Fatalf("warm maze search allocated %.1f times, want ≤ 1", allocs)
-	}
+	return ng
 }
 
 // TestRouteNegotiateSearchAllocs pins the negotiation inner loop: once the
@@ -51,16 +39,7 @@ func TestRouteNegotiateSearchAllocs(t *testing.T) {
 			g.hUsage[i] = 9 // over capacity: exercises the priced branch
 		}
 	}
-	ng := &negotiator{
-		g: g, capacity: 8, presentFactor: DefaultPresentFactor, round: 3,
-		histH: make([]float64, len(g.hUsage)),
-		histV: make([]float64, len(g.vUsage)),
-	}
-	for i := range ng.histH {
-		if i%11 == 0 {
-			ng.histH[i] = 4 * g.theta
-		}
-	}
+	ng := testNegotiator(g)
 	bi := new(biState)
 	s, d := 0, g.cols*g.rows-1
 	buf, _ := ng.biSearch(bi, s, d, nil)
@@ -80,21 +59,23 @@ func TestRouteNegotiateSearchAllocs(t *testing.T) {
 }
 
 // TestSearchStateReuseMatchesFresh pins pool transparency: a search on a
-// reused (dirty) state returns the same path as a search on a fresh one.
+// reused (dirty) state returns the same path and pop count as a search on
+// a fresh one.
 func TestSearchStateReuseMatchesFresh(t *testing.T) {
 	g := testGrid(30, 25)
 	for i := range g.vUsage {
 		if i%7 == 2 {
-			g.vUsage[i] = 5
+			g.vUsage[i] = 9
 		}
 	}
-	dirty := new(searchState)
-	g.dijkstra(dirty, 3, 600, 8, 0.3) // dirty the stamps with another search
+	ng := testNegotiator(g)
+	dirty := new(biState)
+	ng.biSearch(dirty, 3, 600, nil) // dirty the stamps with another search
 	for _, pair := range [][2]int{{0, 749}, {29, 720}, {370, 12}} {
-		want := g.dijkstra(new(searchState), pair[0], pair[1], 8, 0.3)
-		got := g.dijkstra(dirty, pair[0], pair[1], 8, 0.3)
-		if len(want) != len(got) {
-			t.Fatalf("%v: path len %d vs %d", pair, len(got), len(want))
+		want, wantPops := ng.biSearch(new(biState), pair[0], pair[1], nil)
+		got, gotPops := ng.biSearch(dirty, pair[0], pair[1], nil)
+		if len(want) != len(got) || wantPops != gotPops {
+			t.Fatalf("%v: path len %d, %d pops vs %d, %d", pair, len(got), gotPops, len(want), wantPops)
 		}
 		for i := range want {
 			if want[i] != got[i] {

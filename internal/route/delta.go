@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/place"
 )
 
@@ -38,32 +37,30 @@ type Warm struct {
 // from-scratch negotiation. Results are bit-identical for any Workers value
 // and deterministic for a fixed (netlist, placement, warm) input.
 //
-// The warm set is advisory: if the grid dimensions differ, a warm path's
-// endpoints no longer match the wire's terminal bins, or the options select
-// the legacy engine (which has no partial-reroute notion), the affected
-// wires — or on a grid mismatch the whole route — degrade to from-scratch.
-// reused reports how many wires kept their warm path through round 1; the
+// The warm set is advisory: if the grid dimensions differ or a warm path's
+// endpoints no longer match the wire's terminal bins, the affected wires —
+// or on a grid mismatch the whole route — degrade to from-scratch. reused
+// reports how many wires kept their warm path through round 1; the
 // negotiation may still rip some of them later (Result.RipUps counts that).
 func RouteDeltaCtx(ctx context.Context, nl *netlist.Netlist, pl *place.Result, opts Options, warm *Warm) (res *Result, reused int, err error) {
 	if err := opts.validate(); err != nil {
 		return nil, 0, err
 	}
-	if warm == nil || !opts.Negotiate {
+	if warm == nil {
 		res, err = RouteCtx(ctx, nl, pl, opts)
 		return res, 0, err
 	}
 	if len(warm.Paths) != len(nl.Wires) {
 		return nil, 0, fmt.Errorf("route: warm set covers %d wires, netlist has %d", len(warm.Paths), len(nl.Wires))
 	}
-	res = &Result{WireLength: make([]float64, len(nl.Wires)), Negotiated: true}
+	res = &Result{WireLength: make([]float64, len(nl.Wires))}
 	if len(nl.Wires) == 0 {
-		res.Cols, res.Rows = 1, 1
-		res.Usage = make([]int, 1)
-		res.FinalCapacity = opts.Capacity
-		obs.Emit(opts.Observer, routeStatsOf(res, 0))
-		return res, 0, nil
+		return emptyResult(res, opts), 0, nil
 	}
-	rt := newRouter(nl, pl, opts, res)
+	rt, err := newRouter(nl, pl, opts, res)
+	if err != nil {
+		return nil, 0, err
+	}
 	if warm.FinalCapacity > rt.opts.Capacity {
 		rt.opts.Capacity = warm.FinalCapacity
 	}
@@ -106,11 +103,6 @@ func RouteDeltaCtx(ctx context.Context, nl *netlist.Netlist, pl *place.Result, o
 	}
 	if err := rt.negotiate(ctx, dirty); err != nil {
 		return nil, 0, err
-	}
-	if !res.Negotiated {
-		// The negotiation stalled and the legacy fallback rerouted the whole
-		// design from scratch; no warm path survived.
-		reused = 0
 	}
 	rt.finalize()
 	return res, reused, nil

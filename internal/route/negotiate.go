@@ -1,5 +1,4 @@
-// Negotiated-congestion routing (PathFinder): instead of blocking wires on
-// full edges and relaxing a global capacity, every edge stays usable at a
+// Negotiated-congestion routing (PathFinder): every edge stays usable at a
 // price. An edge's cost is
 //
 //	θ·(1 + presentFactor·round·max(0, u+1−capacity)) + history
@@ -9,16 +8,16 @@
 // number), and the history term accumulates historyGain·θ·overuse after
 // every round an edge finishes over capacity — so chronically contested
 // edges become expensive even when momentarily free, and wires negotiate
-// who detours. Deliberately unlike the legacy engine, sub-capacity usage is
-// free: an edge with headroom costs exactly θ (+ any history), so the
-// θ·Manhattan heuristic stays tight and searches expand narrow corridors
-// instead of flooding — pricing all usage inflates g-costs everywhere,
-// degrades A* toward a breadth-first ball, and was measured at >10× the
-// expansions for no quality gain. Rounds rip up just enough wires to bring
-// every edge back to capacity (partial rip-up, reverse wire order) and
-// reroute them until no edge is overused; if that has not converged after
-// Options.NegotiationRounds rounds the router falls back to the legacy
-// relaxation engine, preserving its completion guarantee.
+// who detours. Sub-capacity usage is free: an edge with headroom costs
+// exactly θ (+ any history), so the θ·Manhattan heuristic stays tight and
+// searches expand narrow corridors instead of flooding — pricing all usage
+// inflates g-costs everywhere, degrades A* toward a breadth-first ball, and
+// was measured at >10× the expansions for no quality gain. Rounds rip up
+// just enough wires to bring every edge back to capacity (partial rip-up,
+// reverse wire order) and reroute them until no edge is overused; if that
+// has not converged after negotiationRounds rounds, one final relaxation
+// raises the capacity to the peak edge demand of the routing in hand, so
+// every route completes.
 //
 // Searches are bidirectional A* (meet in the middle): one epoch-stamped
 // searchState expands from the source toward the target and a second from
@@ -35,12 +34,12 @@
 // path is the forward chain to the meeting node joined to the backward
 // chain from it.
 //
-// Parallelism follows the batch-speculative contract of the legacy engine:
-// a batch's searches run concurrently against the usage snapshot at batch
-// start, then commit sequentially in wire order. Negotiated searches never
-// fail and never need a fits() retry — every found path commits — so the
-// batch decomposition, and with it the entire result, is a pure function
-// of the wire order, bit-identical for any Workers value.
+// Parallelism is batch-speculative: a batch's searches run concurrently
+// against the usage snapshot at batch start, then commit sequentially in
+// wire order. Negotiated searches never fail and never need a retry —
+// every found path commits — so the batch decomposition, and with it the
+// entire result, is a pure function of the wire order, bit-identical for
+// any Workers value.
 
 package route
 
@@ -56,16 +55,24 @@ import (
 )
 
 // negotiator prices the grid's edges for one negotiated route: the shared
-// history arrays (indexed like hUsage/vUsage) plus the knobs and the
-// current round number the present term escalates with.
+// history arrays (indexed like hUsage/vUsage) plus the current capacity and
+// the round number the present term escalates with.
 type negotiator struct {
-	g             *grid
-	capacity      int
-	presentFactor float64
-	round         int // 1-based; scales the present price of overuse
-	histH, histV  []float64
+	g            *grid
+	capacity     int
+	round        int // 1-based; scales the present price of overuse
+	histH, histV []float64
 }
 
+// batchSize is how many wires route speculatively against one usage
+// snapshot before their paths commit in order: it balances maze-search
+// parallelism against the fidelity of the usage picture each wire sees.
+// presentFactor scales the present price of an overused edge per unit of
+// overuse, multiplied by the round number so the pressure escalates.
+// historyGain scales the history cost an edge accrues per unit of overuse
+// after each round, in units of θ. negotiationRounds bounds the
+// rip-up-and-reroute rounds before the final relaxation.
+//
 // presentCap and historyCap bound the present and history price of one
 // edge, in multiples of θ. An uncapped price turns every forced hotspot
 // crossing into a grid-wide proof that no cheaper detour exists — the
@@ -78,9 +85,13 @@ type negotiator struct {
 // a few bins wide instead of Manhattan balls. On uniform cost (round 1,
 // uncongested regions) the biased search still returns shortest paths.
 const (
-	presentCap    = 10.0
-	historyCap    = 6.0
-	heuristicBias = 1.5
+	batchSize         = 16
+	presentFactor     = 0.5
+	historyGain       = 0.4
+	negotiationRounds = 48
+	presentCap        = 10.0
+	historyCap        = 6.0
+	heuristicBias     = 1.5
 )
 
 // edgeCost prices stepping onto the edge at idx of the given orientation.
@@ -89,7 +100,7 @@ const (
 func (ng *negotiator) edgeCost(usage []int, hist []float64, idx int) float64 {
 	cost := ng.g.theta + hist[idx]
 	if over := usage[idx] + 1 - ng.capacity; over > 0 {
-		pres := ng.presentFactor * float64(ng.round) * float64(over)
+		pres := presentFactor * float64(ng.round) * float64(over)
 		if pres > presentCap {
 			pres = presentCap
 		}
@@ -224,26 +235,28 @@ func (g *grid) pathOverCapacity(path []int, capacity int) bool {
 
 // stallImprovement is the minimum fractional drop in overused-edge count a
 // round must deliver (vs the round before) to count as progress; a round
-// below it is stalled. stallFallback is how many consecutive stalled rounds
-// without an available capacity relaxation end the negotiation early.
-// stallClear sizes a stalled round's capacity jump: relax to the smallest
-// capacity that leaves at most 1/stallClear of the current overuse.
+// below it is stalled. stallLimit is how many consecutive stalled rounds
+// without an available capacity relaxation end the negotiation early, in
+// its final relaxation. stallClear sizes a stalled round's capacity jump:
+// relax to the smallest capacity that leaves at most 1/stallClear of the
+// current overuse.
 const (
 	stallImprovement = 8 // progress means over < prevOver - prevOver/stallImprovement
-	stallFallback    = 3
+	stallLimit       = 3
 	stallClear       = 4
 )
 
-// negotiate is the negotiated-congestion engine. Round 1 routes every wire;
-// each later round reroutes only the wires whose paths cross an edge that
-// finished the previous round over capacity, after pricing that overuse
-// into the history costs. A round that barely improves the overused-edge
-// count is stalled: the design likely needs more physical capacity than
-// pricing alone can negotiate, so the router relaxes the virtual capacity
-// (bounded by Options.MaxRelaxations, like the legacy engine) and keeps
-// negotiating. It converges when no edge is overused; if the round budget
-// runs out, or rounds keep stalling with no relaxation left, it falls back
-// to the legacy engine, preserving its completion guarantee.
+// negotiate routes the wires by negotiated congestion. Round 1 routes every
+// wire; each later round reroutes only the wires whose paths cross an edge
+// that finished the previous round over capacity, after pricing that
+// overuse into the history costs. A round that barely improves the
+// overused-edge count is stalled: the design likely needs more physical
+// capacity than pricing alone can negotiate, so the router relaxes the
+// virtual capacity (bounded by Options.MaxRelaxations) and keeps
+// negotiating. It converges when no edge is overused. If the round budget
+// runs out, or rounds keep stalling with no relaxation left, it ends with
+// one final relaxation: the capacity rises to the peak edge demand of the
+// routing in hand, which legalizes every committed path as it stands.
 // The initial list is the wires routed in round 1, in paper order — the
 // full rt.order on a from-scratch route, only the dirty wires on a delta
 // route (every other wire's path is already committed to the usage maps).
@@ -252,22 +265,10 @@ const (
 func (rt *router) negotiate(ctx context.Context, initial []int) error {
 	g, res, opts := rt.g, rt.res, rt.opts
 	ng := &negotiator{
-		g:             g,
-		capacity:      opts.Capacity,
-		presentFactor: opts.PresentFactor,
-		histH:         make([]float64, len(g.hUsage)),
-		histV:         make([]float64, len(g.vUsage)),
-	}
-	historyGain := opts.HistoryGain
-	if historyGain == 0 {
-		historyGain = DefaultHistoryGain
-	}
-	if ng.presentFactor == 0 {
-		ng.presentFactor = DefaultPresentFactor
-	}
-	maxRounds := opts.NegotiationRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultNegotiationRounds
+		g:        g,
+		capacity: opts.Capacity,
+		histH:    make([]float64, len(g.hUsage)),
+		histV:    make([]float64, len(g.vUsage)),
 	}
 	states := sync.Pool{New: func() interface{} { return new(biState) }}
 	pops := make([]int, len(rt.nl.Wires))
@@ -284,7 +285,7 @@ func (rt *router) negotiate(ctx context.Context, initial []int) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("route: cancelled before batch %d: %w", batchNo+1, err)
 			}
-			b := rt.batch
+			b := batchSize
 			if b > len(queue) {
 				b = len(queue)
 			}
@@ -374,12 +375,17 @@ func (rt *router) negotiate(ctx context.Context, initial []int) error {
 		} else {
 			stalled++
 		}
-		if round >= maxRounds || stalled >= stallFallback {
-			// The design would not converge under negotiation. Degrade to
-			// the legacy engine, which guarantees completion within
-			// MaxRelaxations; it resets usage and paths itself.
-			res.Negotiated = false
-			return rt.relax(ctx)
+		if round >= negotiationRounds || stalled >= stallLimit {
+			// The design would not converge under negotiation. Relax once
+			// more, to the peak demand: every committed path then fits as
+			// it stands, so the route completes with the paths in hand.
+			ng.capacity = peak
+			res.Relaxations++
+			obs.Emit(opts.Observer, obs.RouteRelaxation{
+				Relaxations: res.Relaxations,
+				Capacity:    ng.capacity,
+			})
+			break
 		}
 		if escalate {
 			// Relax to the smallest capacity that leaves at most

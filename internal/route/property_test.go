@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/place"
 )
 
 // congestedNetlist builds a 10×10 cell grid with the chain wires of
 // gridNetlist plus extra random long-haul wires, dense enough that a small
-// starting capacity forces both engines through their congestion machinery
-// (relaxation or negotiation rounds).
+// starting capacity forces the router through negotiation rounds and
+// capacity relaxations.
 func congestedNetlist(t *testing.T) (*netlist.Netlist, *place.Result) {
 	t.Helper()
 	nl, pl := gridNetlist(100, 3)
@@ -27,7 +28,7 @@ func congestedNetlist(t *testing.T) (*netlist.Netlist, *place.Result) {
 }
 
 // checkRouteInvariants asserts the structural properties every routed
-// result must satisfy, engine-independent:
+// result must satisfy, and returns the peak edge usage:
 //
 //  1. each wire's path starts in its source bin, ends in its target bin,
 //     and steps only between edge-adjacent bins (a same-bin wire's path is
@@ -35,9 +36,12 @@ func congestedNetlist(t *testing.T) (*netlist.Netlist, *place.Result) {
 //  2. the congestion map Usage is exactly the per-bin visit count summed
 //     over all paths;
 //  3. no grid edge carries more wires than FinalCapacity.
-func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, opts Options, res *Result) {
+func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, opts Options, res *Result) int {
 	t.Helper()
-	g := newGrid(pl, opts.Theta)
+	g, err := newGrid(pl, opts.Theta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Cols != g.cols || res.Rows != g.rows {
 		t.Fatalf("result grid %d×%d, want %d×%d", res.Cols, res.Rows, g.cols, g.rows)
 	}
@@ -86,62 +90,66 @@ func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, o
 			t.Fatalf("bin %d usage %d, want recomputed %d", i, res.Usage[i], u)
 		}
 	}
+	peak := 0
 	for i, u := range hUse {
 		if u > res.FinalCapacity {
 			t.Fatalf("horizontal edge %d carries %d wires, capacity %d", i, u, res.FinalCapacity)
 		}
+		peak = max(peak, u)
 	}
 	for i, u := range vUse {
 		if u > res.FinalCapacity {
 			t.Fatalf("vertical edge %d carries %d wires, capacity %d", i, u, res.FinalCapacity)
 		}
+		peak = max(peak, u)
 	}
+	return peak
 }
 
-// TestRoutePathProperties checks the invariants on a congested workload for
-// both engines.
+// TestRoutePathProperties checks the invariants on a congested workload.
 func TestRoutePathProperties(t *testing.T) {
 	nl, pl := congestedNetlist(t)
-	for _, negotiate := range []bool{false, true} {
-		name := "legacy"
-		if negotiate {
-			name = "negotiated"
+	t.Run("negotiated", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Theta = 3
+		opts.Capacity = 2
+		res, err := Route(nl, pl, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Negotiate = negotiate
-			opts.Theta = 3
-			opts.Capacity = 2
-			res, err := Route(nl, pl, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if negotiate && res.Rounds == 0 {
-				t.Fatal("negotiated engine reported zero rounds")
-			}
-			checkRouteInvariants(t, nl, pl, opts, res)
-		})
-	}
+		if res.Rounds == 0 {
+			t.Fatal("router reported zero negotiation rounds")
+		}
+		checkRouteInvariants(t, nl, pl, opts, res)
+	})
 }
 
-// TestRouteNegotiationFallback forces the negotiation to stall (one round,
-// no relaxation budget) and checks the legacy fallback routes the design
-// with the invariants intact and Negotiated reset.
-func TestRouteNegotiationFallback(t *testing.T) {
+// TestRouteFinalRelaxation denies every stall escalation (MaxRelaxations =
+// 0) on a congested design, so the negotiation cannot converge: it must
+// still complete, with one final relaxation to exactly the peak edge
+// demand of the committed paths, announced like any other relaxation.
+func TestRouteFinalRelaxation(t *testing.T) {
 	nl, pl := congestedNetlist(t)
 	opts := DefaultOptions()
 	opts.Theta = 3
 	opts.Capacity = 2
-	opts.NegotiationRounds = 1
+	opts.MaxRelaxations = 0
+	m := &obs.Metrics{}
+	opts.Observer = m
 	res, err := Route(nl, pl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Negotiated {
-		t.Fatal("one-round negotiation on a congested design cannot have converged")
+	if res.Relaxations != 1 {
+		t.Fatalf("%d relaxations, want exactly the final one", res.Relaxations)
 	}
-	if res.Rounds != 1 {
-		t.Fatalf("ran %d rounds, want exactly 1", res.Rounds)
+	if peak := checkRouteInvariants(t, nl, pl, opts, res); res.FinalCapacity != peak {
+		t.Fatalf("final capacity %d, want the peak edge usage %d", res.FinalCapacity, peak)
 	}
-	checkRouteInvariants(t, nl, pl, opts, res)
+	if res.FinalCapacity <= opts.Capacity {
+		t.Fatalf("final capacity %d did not relax the starting %d", res.FinalCapacity, opts.Capacity)
+	}
+	if n := m.Snapshot().Relaxations; n != 1 {
+		t.Fatalf("observer saw %d relaxation events, want 1", n)
+	}
 }

@@ -3,24 +3,22 @@
 // and maze routing [16] ordered by each wire's distance from the center of
 // gravity of all cells (wire weight as the tie breaker).
 //
-// Two congestion-resolution engines share that machinery. The default is
-// PathFinder-style negotiated congestion (negotiate.go): searches never
-// block on full edges; instead each edge is priced by its present overuse
-// and a history cost that accumulates across rip-up-and-reroute rounds, so
-// wires negotiate shared edges until no edge exceeds capacity. Searches run
-// bidirectionally (meet-in-the-middle A* under the Manhattan bound). The
-// legacy engine (Options.Negotiate=false) blocks full edges outright and
-// relaxes the virtual capacity globally to reroute wires that fail; a
-// stalled negotiation falls back to it with the same bound.
+// Congestion is resolved by PathFinder-style negotiation (negotiate.go):
+// searches never block on full edges; instead each edge is priced by its
+// present overuse and a history cost that accumulates across
+// rip-up-and-reroute rounds, so wires negotiate shared edges until no edge
+// exceeds the virtual capacity. Stalled rounds relax that capacity, the
+// paper's escalation; a negotiation that runs out of rounds ends with one
+// final relaxation to the peak edge demand, so every route completes.
+// Searches run bidirectionally (meet-in-the-middle A* under the Manhattan
+// bound).
 //
-// Wires are processed in batches of Options.BatchSize: every wire of a
-// batch runs its maze search against the usage snapshot at batch start
-// (those searches fan out across Options.Workers goroutines), then the
-// found paths commit sequentially in wire order, re-queueing any wire whose
-// path no longer fits under the edge capacity. The batch decomposition is
-// fixed by the wire order alone — never by the worker count — so routing
-// results are bit-identical for any Workers value; BatchSize=1 degenerates
-// to the classic fully sequential maze router.
+// Wires are processed in fixed batches: every wire of a batch runs its maze
+// search against the usage snapshot at batch start (those searches fan out
+// across Options.Workers goroutines), then the found paths commit
+// sequentially in wire order. The batch decomposition is fixed by the wire
+// order alone — never by the worker count — so routing results are
+// bit-identical for any Workers value.
 package route
 
 import (
@@ -28,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/netlist"
@@ -42,41 +39,16 @@ type Options struct {
 	// Theta is the grid bin width θ in µm.
 	Theta float64
 	// Capacity is the initial virtual capacity: the number of wires each
-	// grid edge may carry before it is considered full.
+	// grid edge may carry before it is overused.
 	Capacity int
-	// CongestionPenalty multiplies the cost of stepping onto an edge, per
-	// unit of existing usage, steering the maze router around congestion
-	// even below capacity.
-	CongestionPenalty float64
-	// MaxRelaxations bounds how many times the virtual capacity may be
-	// relaxed (incremented) to route failing wires.
+	// MaxRelaxations bounds the capacity escalations of stalled negotiation
+	// rounds. A negotiation that runs out of rounds, or keeps stalling once
+	// the budget is spent, ends with one more, final relaxation to the peak
+	// edge demand.
 	MaxRelaxations int
-	// BatchSize is how many wires route speculatively against one usage
-	// snapshot before their paths commit in order. Zero means the default
-	// (16); 1 reproduces the classic one-wire-at-a-time maze router. The
-	// routed result depends on BatchSize but never on Workers.
-	BatchSize int
 	// Workers bounds the goroutines running a batch's maze searches.
 	// Zero means the parallel package default; negative is rejected.
 	Workers int
-	// Negotiate selects the negotiated-congestion engine: searches price
-	// overused edges instead of blocking on them, and rip-up-and-reroute
-	// rounds resolve the overuse. False selects the legacy capacity-
-	// relaxation engine (the zero value, so hand-built Options keep their
-	// historical meaning; DefaultOptions enables negotiation).
-	Negotiate bool
-	// PresentFactor scales the present-congestion price of an overused edge
-	// per unit of overuse, multiplied by the round number so the pressure
-	// escalates. Zero means DefaultPresentFactor; negative is rejected.
-	PresentFactor float64
-	// HistoryGain scales the history cost added to an edge per unit of
-	// overuse after each round, in units of Theta. Zero means
-	// DefaultHistoryGain; negative is rejected.
-	HistoryGain float64
-	// NegotiationRounds bounds the rip-up-and-reroute rounds before a
-	// stalled negotiation falls back to the legacy relaxation engine. Zero
-	// means DefaultNegotiationRounds; negative is rejected.
-	NegotiationRounds int
 	// Observer, when non-nil, receives an obs.RouteBatch event after every
 	// committed batch, an obs.RouteRelaxation event at every capacity
 	// relaxation, and one obs.RouteStats summary after the route finishes.
@@ -84,31 +56,12 @@ type Options struct {
 	Observer obs.Observer
 }
 
-// defaultBatchSize balances maze-search parallelism against the fidelity of
-// the usage picture each wire sees.
-const defaultBatchSize = 16
-
-// Defaults of the negotiated-congestion knobs, applied when the
-// corresponding Options field is zero. Exported so the cache key
-// (CanonicalHash) can fold zero spellings to the same digest.
-const (
-	DefaultPresentFactor     = 0.5
-	DefaultHistoryGain       = 0.4
-	DefaultNegotiationRounds = 48
-)
-
 // DefaultOptions returns the parameter set used by the experiments.
 func DefaultOptions() Options {
 	return Options{
-		Theta:             2.0,
-		Capacity:          8,
-		CongestionPenalty: 0.3,
-		MaxRelaxations:    64,
-		BatchSize:         defaultBatchSize,
-		Negotiate:         true,
-		PresentFactor:     DefaultPresentFactor,
-		HistoryGain:       DefaultHistoryGain,
-		NegotiationRounds: DefaultNegotiationRounds,
+		Theta:          2.0,
+		Capacity:       8,
+		MaxRelaxations: 64,
 	}
 }
 
@@ -119,26 +72,11 @@ func (o Options) validate() error {
 	if o.Capacity <= 0 {
 		return fmt.Errorf("route: capacity %d must be positive", o.Capacity)
 	}
-	if o.CongestionPenalty < 0 {
-		return fmt.Errorf("route: congestion penalty %g must be ≥ 0", o.CongestionPenalty)
-	}
 	if o.MaxRelaxations < 0 {
 		return fmt.Errorf("route: max relaxations %d must be ≥ 0", o.MaxRelaxations)
 	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("route: batch size %d must be ≥ 0", o.BatchSize)
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("route: negative worker count %d", o.Workers)
-	}
-	if o.PresentFactor < 0 {
-		return fmt.Errorf("route: present factor %g must be ≥ 0", o.PresentFactor)
-	}
-	if o.HistoryGain < 0 {
-		return fmt.Errorf("route: history gain %g must be ≥ 0", o.HistoryGain)
-	}
-	if o.NegotiationRounds < 0 {
-		return fmt.Errorf("route: negotiation rounds %d must be ≥ 0", o.NegotiationRounds)
 	}
 	return nil
 }
@@ -155,22 +93,20 @@ type Result struct {
 	// Usage is the per-bin wire presence count (how many routed wires pass
 	// through each bin), row-major — the congestion map of Figure 10.
 	Usage []int
-	// Relaxations is how many capacity relaxations were needed.
+	// Relaxations is how many capacity relaxations were needed, the final
+	// one included.
 	Relaxations int
-	// FinalCapacity is the virtual capacity after relaxation.
+	// FinalCapacity is the virtual capacity after relaxation: no grid edge
+	// carries more wires.
 	FinalCapacity int
 	// Paths holds each wire's committed bin sequence, indexed by wire ID.
 	// A same-bin wire's path is its single bin.
 	Paths [][]int
-	// Negotiated reports that the negotiated-congestion engine produced
-	// this result. False with Rounds > 0 means negotiation stalled and the
-	// legacy relaxation fallback routed the design.
-	Negotiated bool
-	// Rounds is how many negotiation rounds ran (0 on the legacy engine).
+	// Rounds is how many negotiation rounds ran.
 	Rounds int
 	// RipUps is how many wires were ripped up and rerouted, over all rounds.
 	RipUps int
-	// Expansions counts heap pops across every maze search, both engines.
+	// Expansions counts heap pops across every maze search.
 	Expansions int64
 	// OverusedPeak is the most over-capacity edges seen after any round.
 	OverusedPeak int
@@ -203,17 +139,42 @@ type grid struct {
 	hUsage, vUsage []int
 }
 
-func newGrid(pl *place.Result, theta float64) *grid {
-	w := math.Max(pl.Width(), theta)
-	h := math.Max(pl.Height(), theta)
-	cols := int(math.Ceil(w/theta)) + 1
-	rows := int(math.Ceil(h/theta)) + 1
+// MaxGridBins caps the bins of a routing grid. It bounds the memory a
+// placement box can claim — the usage maps hold one int per bin — the way
+// graph.MaxLoadNeurons bounds a loaded network: the placement of the
+// 2000-neuron benchmark network spans ~59k bins at θ = 2 µm, about 70×
+// below the cap, while a decoded artifact's box is untrusted input.
+const MaxGridBins = 1 << 22
+
+// GridDims returns the dimensions of the routing grid over a placement box
+// of the given width and height (µm) at bin width theta: enough θ bins to
+// span the box, floored at one, plus one in each direction. ok is false,
+// with zero dimensions, when theta is not positive or the grid would
+// exceed MaxGridBins bins (a non-finite box included).
+func GridDims(width, height, theta float64) (cols, rows int, ok bool) {
+	if !(theta > 0) {
+		return 0, 0, false
+	}
+	c := math.Ceil(math.Max(width, theta)/theta) + 1
+	r := math.Ceil(math.Max(height, theta)/theta) + 1
+	if !(c*r <= MaxGridBins) {
+		return 0, 0, false
+	}
+	return int(c), int(r), true
+}
+
+func newGrid(pl *place.Result, theta float64) (*grid, error) {
+	cols, rows, ok := GridDims(pl.Width(), pl.Height(), theta)
+	if !ok {
+		return nil, fmt.Errorf("route: a %g×%g µm placement at θ=%g µm exceeds the %d-bin grid cap",
+			pl.Width(), pl.Height(), theta, MaxGridBins)
+	}
 	return &grid{
 		cols: cols, rows: rows, theta: theta,
 		minX: pl.MinX, minY: pl.MinY,
 		hUsage: make([]int, cols*rows),
 		vUsage: make([]int, cols*rows),
-	}
+	}, nil
 }
 
 func (g *grid) binOf(x, y float64) (int, int) {
@@ -242,20 +203,18 @@ type pqItem struct {
 	g    float64
 }
 
-// searchState is the reusable scratch of one maze search: g-costs,
-// predecessors, and a typed binary heap. A search validates its per-node
-// entries with an epoch stamp, so starting a new search is O(1) — no
-// O(bins) reinitialization, and the arrays allocate only when the grid
-// grows. The heap replicates container/heap's sift algorithms exactly
-// (same comparisons, same swaps), so search results are identical to the
-// boxed implementation it replaces while pushes stop allocating.
+// searchState is the reusable scratch of one direction of a maze search:
+// g-costs, predecessors, and a typed binary heap. A search validates its
+// per-node entries with an epoch stamp, so starting a new search is O(1) —
+// no O(bins) reinitialization, and the arrays allocate only when the grid
+// grows. The heap replicates container/heap's sift algorithms exactly (same
+// comparisons, same swaps), so pushes never allocate a boxed entry.
 type searchState struct {
 	dist  []float64
 	prev  []int32
 	stamp []uint32
 	epoch uint32
 	heap  []pqItem
-	pops  int // heap pops of the current search, read after it returns
 }
 
 // begin readies the state for a search over n bins.
@@ -274,7 +233,6 @@ func (st *searchState) begin(n int) {
 		st.epoch = 1
 	}
 	st.heap = st.heap[:0]
-	st.pops = 0
 }
 
 // distAt returns node's g-cost this search, +Inf if untouched.
@@ -333,71 +291,6 @@ func (st *searchState) pop() pqItem {
 	return it
 }
 
-// dijkstra finds the cheapest path from bin s to bin t under the current
-// usage and capacity, using A* with the Manhattan-distance lower bound
-// (admissible because congestion only ever adds to an edge's base cost).
-// It returns the bin sequence or nil if t is unreachable (all paths
-// blocked by full edges). st supplies all scratch; the returned path is
-// freshly allocated at its exact length.
-func (g *grid) dijkstra(st *searchState, s, t int, capacity int, penalty float64) []int {
-	st.begin(g.cols * g.rows)
-	tc, tr := t%g.cols, t/g.cols
-	lowerBound := func(node int32) float64 {
-		c, r := int(node)%g.cols, int(node)/g.cols
-		return g.theta * float64(absInt(c-tc)+absInt(r-tr))
-	}
-	st.relax(int32(s), -1, 0)
-	st.push(pqItem{node: int32(s), cost: lowerBound(int32(s)), g: 0})
-	for len(st.heap) > 0 {
-		it := st.pop()
-		st.pops++
-		if int(it.node) == t {
-			break
-		}
-		if it.g > st.dist[it.node] {
-			continue
-		}
-		c, r := int(it.node)%g.cols, int(it.node)/g.cols
-		try := func(nc, nr int, usage []int, edgeIdx int) {
-			u := usage[edgeIdx]
-			if u >= capacity {
-				return
-			}
-			nn := int32(nr*g.cols + nc)
-			cost := it.g + g.theta*(1+penalty*float64(u))
-			if cost < st.distAt(nn) {
-				st.relax(nn, it.node, cost)
-				st.push(pqItem{node: nn, cost: cost + lowerBound(nn), g: cost})
-			}
-		}
-		if c+1 < g.cols {
-			try(c+1, r, g.hUsage, r*g.cols+c)
-		}
-		if c-1 >= 0 {
-			try(c-1, r, g.hUsage, r*g.cols+c-1)
-		}
-		if r+1 < g.rows {
-			try(c, r+1, g.vUsage, r*g.cols+c)
-		}
-		if r-1 >= 0 {
-			try(c, r-1, g.vUsage, (r-1)*g.cols+c)
-		}
-	}
-	if math.IsInf(st.distAt(int32(t)), 1) {
-		return nil
-	}
-	// Measure the path, then fill it back-to-front at its exact size.
-	steps := 0
-	for v := int32(t); v != -1; v = st.prev[v] {
-		steps++
-	}
-	path := make([]int, steps)
-	for v, i := int32(t), steps-1; v != -1; v, i = st.prev[v], i-1 {
-		path[i] = int(v)
-	}
-	return path
-}
-
 func absInt(v int) int {
 	if v < 0 {
 		return -v
@@ -436,31 +329,13 @@ func (g *grid) uncommit(path []int) {
 	}
 }
 
-// fits reports whether every edge of the path still has headroom under the
-// capacity — a speculative path can be invalidated by a batch-mate that
-// committed first.
-func (g *grid) fits(path []int, capacity int) bool {
-	for i := 1; i < len(path); i++ {
-		a, b := path[i-1], path[i]
-		if b < a {
-			a, b = b, a
-		}
-		if b == a+1 {
-			if g.hUsage[a] >= capacity {
-				return false
-			}
-		} else if g.vUsage[a] >= capacity {
-			return false
-		}
-	}
-	return true
-}
-
 // Route routes every wire of the netlist over the placed design. The wire
 // order follows the paper: ascending distance from the center of gravity of
 // all cells to the wire's closest pin, with the wire weight breaking ties
-// (heavier first). Wires that cannot be routed under the current virtual
-// capacity trigger a capacity relaxation and are rerouted.
+// (heavier first). Every wire is routed: overuse the negotiation cannot
+// resolve is absorbed by relaxing the virtual capacity, so the only errors
+// are invalid options, a placement too large for MaxGridBins, and
+// cancellation.
 func Route(nl *netlist.Netlist, pl *place.Result, opts Options) (*Result, error) {
 	return RouteCtx(context.Background(), nl, pl, opts)
 }
@@ -473,34 +348,40 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, pl *place.Result, opts O
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{WireLength: make([]float64, len(nl.Wires)), Negotiated: opts.Negotiate}
+	res := &Result{WireLength: make([]float64, len(nl.Wires))}
 	if len(nl.Wires) == 0 {
-		res.Cols, res.Rows = 1, 1
-		res.Usage = make([]int, 1)
-		res.FinalCapacity = opts.Capacity
-		obs.Emit(opts.Observer, routeStatsOf(res, 0))
-		return res, nil
+		return emptyResult(res, opts), nil
 	}
-	rt := newRouter(nl, pl, opts, res)
-	var err error
-	if opts.Negotiate {
-		err = rt.negotiate(ctx, rt.order)
-	} else {
-		err = rt.relax(ctx)
-	}
+	rt, err := newRouter(nl, pl, opts, res)
 	if err != nil {
+		return nil, err
+	}
+	if err := rt.negotiate(ctx, rt.order); err != nil {
 		return nil, err
 	}
 	rt.finalize()
 	return res, nil
 }
 
-// newRouter builds the per-route state both engines and both entry points
-// (from-scratch and delta) share: the grid over the placement, the paper's
-// wire order, the precomputed terminal bins, and the resolved batch/worker
-// knobs. It sizes res.Paths and records the grid dimensions.
-func newRouter(nl *netlist.Netlist, pl *place.Result, opts Options, res *Result) *router {
-	g := newGrid(pl, opts.Theta)
+// emptyResult completes the result of a netlist with no wires: a one-bin
+// grid at the initial capacity.
+func emptyResult(res *Result, opts Options) *Result {
+	res.Cols, res.Rows = 1, 1
+	res.Usage = make([]int, 1)
+	res.FinalCapacity = opts.Capacity
+	obs.Emit(opts.Observer, routeStatsOf(res, 0))
+	return res
+}
+
+// newRouter builds the per-route state both entry points (from-scratch and
+// delta) share: the grid over the placement, the paper's wire order, and
+// the precomputed terminal bins. It sizes res.Paths and records the grid
+// dimensions.
+func newRouter(nl *netlist.Netlist, pl *place.Result, opts Options, res *Result) (*router, error) {
+	g, err := newGrid(pl, opts.Theta)
+	if err != nil {
+		return nil, err
+	}
 	res.Cols, res.Rows = g.cols, g.rows
 
 	// Center of gravity of all cells.
@@ -528,10 +409,6 @@ func newRouter(nl *netlist.Netlist, pl *place.Result, opts Options, res *Result)
 		return nl.Wires[wa].Weight > nl.Wires[wb].Weight
 	})
 
-	batch := opts.BatchSize
-	if batch == 0 {
-		batch = defaultBatchSize
-	}
 	// Source/target bins depend only on the placement; compute once.
 	src := make([]int, len(nl.Wires))
 	dst := make([]int, len(nl.Wires))
@@ -544,8 +421,8 @@ func newRouter(nl *netlist.Netlist, pl *place.Result, opts Options, res *Result)
 	return &router{
 		g: g, nl: nl, pl: pl, opts: opts, res: res,
 		order: order, src: src, dst: dst,
-		batch: batch, workers: parallel.Resolve(opts.Workers),
-	}
+		workers: parallel.Resolve(opts.Workers),
+	}, nil
 }
 
 // finalize sums the total wirelength, rebuilds the congestion map from the
@@ -569,7 +446,6 @@ func (rt *router) finalize() {
 // routeStatsOf packs a Result's counters into the summary event.
 func routeStatsOf(res *Result, wires int) obs.RouteStats {
 	return obs.RouteStats{
-		Negotiated:    res.Negotiated,
 		Wires:         wires,
 		Rounds:        res.Rounds,
 		RipUps:        res.RipUps,
@@ -581,18 +457,17 @@ func routeStatsOf(res *Result, wires int) obs.RouteStats {
 	}
 }
 
-// router bundles the per-route state both engines share: the grid, the
-// paper's wire order, the precomputed terminal bins, and the resolved
-// batch/worker knobs.
+// router bundles the per-route state: the grid, the paper's wire order, the
+// precomputed terminal bins, and the resolved worker count.
 type router struct {
-	g              *grid
-	nl             *netlist.Netlist
-	pl             *place.Result
-	opts           Options
-	res            *Result
-	order          []int
-	src, dst       []int
-	batch, workers int
+	g        *grid
+	nl       *netlist.Netlist
+	pl       *place.Result
+	opts     Options
+	res      *Result
+	order    []int
+	src, dst []int
+	workers  int
 }
 
 // commitSameBin routes a wire whose terminals share a bin: a direct
@@ -604,117 +479,4 @@ func (rt *router) commitSameBin(wi int) {
 	rt.res.WireLength[wi] = math.Max(
 		math.Abs(rt.pl.X[w.From]-rt.pl.X[w.To])+math.Abs(rt.pl.Y[w.From]-rt.pl.Y[w.To]),
 		rt.opts.Theta/2)
-}
-
-// relax is the legacy engine: speculative batched maze searches that block
-// on full edges, with a bounded global capacity relaxation rerouting the
-// wires that fail. Also the fallback of a stalled negotiation, so it first
-// resets any usage and paths a prior negotiation attempt committed.
-func (rt *router) relax(ctx context.Context) error {
-	g, res, opts := rt.g, rt.res, rt.opts
-	clear(g.hUsage)
-	clear(g.vUsage)
-	clear(res.WireLength)
-	for i := range res.Paths {
-		res.Paths[i] = res.Paths[i][:0]
-	}
-	type spec struct {
-		path []int
-		pops int
-	}
-	capacity := opts.Capacity
-	states := sync.Pool{New: func() interface{} { return new(searchState) }}
-	pending := rt.order
-	batchNo := 0
-	for len(pending) > 0 {
-		var failed []int // no path under the current capacity: relaxation candidates
-		queue := pending
-		for len(queue) > 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("route: cancelled before batch %d: %w", batchNo+1, err)
-			}
-			b := rt.batch
-			if b > len(queue) {
-				b = len(queue)
-			}
-			cur := queue[:b]
-			queue = queue[b:]
-			// Speculative maze searches, all against the usage snapshot at
-			// batch start. dijkstra only reads the usage maps, so the
-			// searches fan out across the pool; the batch decomposition is
-			// fixed by the wire order, never by the worker count. Search
-			// scratch comes from the state pool — which state a search gets
-			// never affects its result (begin() invalidates all prior
-			// entries), so pooling preserves the determinism contract.
-			found, err := parallel.MapCtx(ctx, rt.workers, b, func(i int) spec {
-				if rt.src[cur[i]] == rt.dst[cur[i]] {
-					return spec{} // same-bin wires route directly at commit
-				}
-				st := states.Get().(*searchState)
-				path := g.dijkstra(st, rt.src[cur[i]], rt.dst[cur[i]], capacity, opts.CongestionPenalty)
-				pops := st.pops
-				states.Put(st)
-				return spec{path: path, pops: pops}
-			})
-			if err != nil {
-				return fmt.Errorf("route: cancelled in batch %d: %w", batchNo+1, err)
-			}
-			// Commit in wire order. A path invalidated by a batch-mate's
-			// commit is re-queued ahead of the untried wires; the first
-			// wire of a batch always commits, so every batch makes
-			// progress.
-			var retry []int
-			batchNo++
-			committed, failedBefore := 0, len(failed)
-			for i, wi := range cur {
-				res.Expansions += int64(found[i].pops)
-				if rt.src[wi] == rt.dst[wi] {
-					rt.commitSameBin(wi)
-					committed++
-					continue
-				}
-				path := found[i].path
-				if path == nil {
-					failed = append(failed, wi)
-					continue
-				}
-				if !g.fits(path, capacity) {
-					retry = append(retry, wi)
-					continue
-				}
-				g.commit(path)
-				res.Paths[wi] = path
-				res.WireLength[wi] = float64(len(path)-1) * opts.Theta
-				committed++
-			}
-			obs.Emit(opts.Observer, obs.RouteBatch{
-				Batch:     batchNo,
-				Wires:     b,
-				Committed: committed,
-				Retried:   len(retry),
-				Failed:    len(failed) - failedBefore,
-				Capacity:  capacity,
-			})
-			if len(retry) > 0 {
-				queue = append(retry, queue...)
-			}
-		}
-		if len(failed) == 0 {
-			break
-		}
-		if res.Relaxations >= opts.MaxRelaxations {
-			return fmt.Errorf("route: %d wires unroutable after %d capacity relaxations",
-				len(failed), res.Relaxations)
-		}
-		capacity++
-		res.Relaxations++
-		obs.Emit(opts.Observer, obs.RouteRelaxation{
-			Relaxations: res.Relaxations,
-			Capacity:    capacity,
-			Pending:     len(failed),
-		})
-		pending = failed
-	}
-	res.FinalCapacity = capacity
-	return nil
 }

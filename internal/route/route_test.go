@@ -47,12 +47,44 @@ func TestRouteOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Theta: 0, Capacity: 4, MaxRelaxations: 4},
 		{Theta: 1, Capacity: 0, MaxRelaxations: 4},
-		{Theta: 1, Capacity: 4, CongestionPenalty: -1, MaxRelaxations: 4},
 		{Theta: 1, Capacity: 4, MaxRelaxations: -1},
+		{Theta: 1, Capacity: 4, MaxRelaxations: 4, Workers: -1},
 	}
 	for i, o := range bad {
 		if _, err := Route(nl, pl, o); err == nil {
 			t.Errorf("options %d accepted", i)
+		}
+	}
+	huge := *pl
+	huge.MaxX = huge.MinX + 2*MaxGridBins
+	if _, err := Route(nl, &huge, DefaultOptions()); err == nil {
+		t.Error("placement past MaxGridBins accepted")
+	}
+}
+
+// TestGridDims pins the grid sizing that routing and artifact restore
+// share: the box in θ bins, floored at one, plus one per direction, and a
+// refusal past MaxGridBins, for a non-finite box, or for θ ≤ 0.
+func TestGridDims(t *testing.T) {
+	side := math.Sqrt(MaxGridBins) // the cap is a square grid
+	for _, tc := range []struct {
+		w, h, theta float64
+		cols, rows  int
+		ok          bool
+	}{
+		{10, 4, 2, 6, 3, true},
+		{0, -3, 2, 2, 2, true}, // floored at one bin
+		{2 * (side - 1), 2 * (side - 1), 2, int(side), int(side), true},
+		{2 * side, 2 * (side - 1), 2, 0, 0, false},
+		{math.Inf(1), 4, 2, 0, 0, false},
+		{4, math.NaN(), 2, 0, 0, false},
+		{4, 4, 0, 0, 0, false},
+		{4, 4, math.NaN(), 0, 0, false},
+	} {
+		cols, rows, ok := GridDims(tc.w, tc.h, tc.theta)
+		if cols != tc.cols || rows != tc.rows || ok != tc.ok {
+			t.Errorf("GridDims(%g, %g, %g) = %d, %d, %v; want %d, %d, %v",
+				tc.w, tc.h, tc.theta, cols, rows, ok, tc.cols, tc.rows, tc.ok)
 		}
 	}
 }
@@ -157,23 +189,6 @@ func TestRouteCapacityRelaxation(t *testing.T) {
 		if l <= 0 {
 			t.Fatalf("wire %d unrouted", i)
 		}
-	}
-}
-
-func TestRouteUnroutableFailsCleanly(t *testing.T) {
-	nl, pl := gridNetlist(9, 3)
-	opts := DefaultOptions()
-	opts.Capacity = 1
-	opts.MaxRelaxations = 0
-	opts.Theta = 0.5
-	// With zero relaxations and capacity 1 on a dense chain this may or
-	// may not fail; force failure with many parallel wires between the
-	// same two cells.
-	for i := 0; i < 50; i++ {
-		nl.Wires = append(nl.Wires, netlist.Wire{ID: len(nl.Wires), From: 0, To: 8, Weight: 1})
-	}
-	if _, err := Route(nl, pl, opts); err == nil {
-		t.Fatal("expected routing failure with MaxRelaxations=0")
 	}
 }
 

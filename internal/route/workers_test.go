@@ -4,49 +4,44 @@ import (
 	"testing"
 )
 
-// TestRouteWorkerInvariance: the batched maze router's output may depend on
-// BatchSize (the speculation granularity is part of the algorithm) but
-// never on Workers — a batch's searches run against the same usage
+// TestRouteWorkerInvariance: the batched maze router's output never
+// depends on Workers — a batch's searches run against the same usage
 // snapshot and commit in wire order whatever the pool size.
 func TestRouteWorkerInvariance(t *testing.T) {
 	nl, pl := gridNetlist(64, 3)
-	for _, batch := range []int{1, 4, 16} {
-		run := func(workers int) *Result {
-			opts := DefaultOptions()
-			opts.BatchSize = batch
-			opts.Workers = workers
-			r, err := Route(nl, pl, opts)
-			if err != nil {
-				t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
-			}
-			return r
+	run := func(workers int) *Result {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		r, err := Route(nl, pl, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		serial := run(1)
-		for _, workers := range []int{2, 4, 11} {
-			got := run(workers)
-			if got.Total != serial.Total {
-				t.Fatalf("batch=%d workers=%d: total %g, serial %g", batch, workers, got.Total, serial.Total)
+		return r
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 4, 11} {
+		got := run(workers)
+		if got.Total != serial.Total {
+			t.Fatalf("workers=%d: total %g, serial %g", workers, got.Total, serial.Total)
+		}
+		if got.Relaxations != serial.Relaxations || got.FinalCapacity != serial.FinalCapacity {
+			t.Fatalf("workers=%d: relaxation history diverged", workers)
+		}
+		for i := range serial.WireLength {
+			if got.WireLength[i] != serial.WireLength[i] {
+				t.Fatalf("workers=%d: wire %d length %g, serial %g",
+					workers, i, got.WireLength[i], serial.WireLength[i])
 			}
-			if got.Relaxations != serial.Relaxations || got.FinalCapacity != serial.FinalCapacity {
-				t.Fatalf("batch=%d workers=%d: relaxation history diverged", batch, workers)
+		}
+		for i := range serial.Usage {
+			if got.Usage[i] != serial.Usage[i] {
+				t.Fatalf("workers=%d: usage bin %d = %d, serial %d",
+					workers, i, got.Usage[i], serial.Usage[i])
 			}
-			for i := range serial.WireLength {
-				if got.WireLength[i] != serial.WireLength[i] {
-					t.Fatalf("batch=%d workers=%d: wire %d length %g, serial %g",
-						batch, workers, i, got.WireLength[i], serial.WireLength[i])
-				}
-			}
-			for i := range serial.Usage {
-				if got.Usage[i] != serial.Usage[i] {
-					t.Fatalf("batch=%d workers=%d: usage bin %d = %d, serial %d",
-						batch, workers, i, got.Usage[i], serial.Usage[i])
-				}
-			}
-			if got.Negotiated != serial.Negotiated || got.Rounds != serial.Rounds ||
-				got.RipUps != serial.RipUps || got.Expansions != serial.Expansions ||
-				got.OverusedPeak != serial.OverusedPeak {
-				t.Fatalf("batch=%d workers=%d: negotiation counters diverged", batch, workers)
-			}
+		}
+		if got.Rounds != serial.Rounds || got.RipUps != serial.RipUps ||
+			got.Expansions != serial.Expansions || got.OverusedPeak != serial.OverusedPeak {
+			t.Fatalf("workers=%d: negotiation counters diverged", workers)
 		}
 	}
 }
@@ -70,16 +65,12 @@ func TestRouteWorkerInvarianceNegotiated(t *testing.T) {
 		return r
 	}
 	serial := run(1)
-	if !serial.Negotiated {
-		t.Fatal("congested scenario fell back to the legacy engine")
-	}
 	if serial.Rounds < 2 {
 		t.Fatalf("scenario converged in %d rounds; need ≥ 2 to exercise rip-up", serial.Rounds)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		got := run(workers)
 		if got.Total != serial.Total ||
-			got.Negotiated != serial.Negotiated ||
 			got.Rounds != serial.Rounds ||
 			got.RipUps != serial.RipUps ||
 			got.Expansions != serial.Expansions ||
@@ -110,25 +101,5 @@ func TestRouteWorkerInvarianceNegotiated(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRouteBatchSizeOne: BatchSize=1 must reproduce the classic sequential
-// maze router exactly — it is the same algorithm with no speculation.
-func TestRouteBatchSizeOne(t *testing.T) {
-	nl, pl := gridNetlist(36, 4)
-	opts := DefaultOptions()
-	opts.BatchSize = 1
-	seq, err := Route(nl, pl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 8
-	par, err := Route(nl, pl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Total != par.Total {
-		t.Fatalf("BatchSize=1 depends on workers: %g vs %g", seq.Total, par.Total)
 	}
 }

@@ -39,9 +39,8 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 	akey := cache.Key(client.ArtifactKey([32]byte(sp.baseKey)))
 	payload, hit, _ := s.cache.GetDetail(akey)
 	// A local artifact miss asks the fleet, exactly like a result lookup:
-	// the base may have compiled on the shard owning its key. A peer hit is
-	// written through to the local memory LRU so an editing session's next
-	// delta resolves locally.
+	// the base may have compiled on the shard owning its key.
+	fromPeer := false
 	if !hit && s.fleet != nil {
 		if lk := s.fleet.Find(ctx, [32]byte(akey)); lk != nil {
 			s.metrics.Observe(obs.PeerLookup{
@@ -49,8 +48,7 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 				Err: lk.Err != nil, Elapsed: lk.Elapsed,
 			})
 			if lk.Hit {
-				s.cache.PutMemory(akey, lk.Payload)
-				payload, hit = lk.Payload, true
+				payload, hit, fromPeer = lk.Payload, true, true
 			}
 		}
 	}
@@ -60,8 +58,16 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 	}
 	art, err := autoncs.DecodeArtifact(payload)
 	if err != nil {
-		return http.StatusInternalServerError, "",
-			fmt.Sprintf("base artifact %s is unreadable: %v", sp.baseKey.Hex(), err)
+		// An artifact this daemon cannot read — typically one stored by an
+		// older version before a format bump — is as good as missing: the
+		// client recovers the same way, by recompiling the base.
+		return http.StatusNotFound, client.CodeBaseArtifactMissing,
+			fmt.Sprintf("artifact for base %s is unusable, recompile the base: %v", sp.baseKey.Hex(), err)
+	}
+	if fromPeer {
+		// Write a peer hit through to the local memory LRU, once it has
+		// decoded, so an editing session's next delta resolves locally.
+		s.cache.PutMemory(akey, payload)
 	}
 	if vec := autoncs.ConfigVectorHashHex(sp.cfg); art.ConfigVector != vec {
 		return http.StatusConflict, client.CodeBaseConfigMismatch,

@@ -198,6 +198,43 @@ func TestDeltaBaseMissing(t *testing.T) {
 	}
 }
 
+// TestDeltaBaseArtifactUnusable: an artifact the daemon can no longer
+// decode — here one tagged with the retired v1 format — is the same typed
+// 404 as a missing one, with the decode error in the message, so the
+// client recompiles the base instead of seeing an opaque 500.
+func TestDeltaBaseArtifactUnusable(t *testing.T) {
+	s, c := newTestServer(t, Options{Slots: 1})
+	ctx := context.Background()
+	base, err := c.CompileWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := cache.ParseKey(base.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	akey := cache.Key(client.ArtifactKey([32]byte(kb)))
+	payload, hit, _ := s.cache.GetDetail(akey)
+	if !hit {
+		t.Fatal("no artifact cached for the base compile")
+	}
+	stale := bytes.Replace(payload, []byte(`"autoncs-artifact/v2"`), []byte(`"autoncs-artifact/v1"`), 1)
+	if bytes.Equal(stale, payload) {
+		t.Fatal("artifact carries no v2 format tag")
+	}
+	if err := s.cache.Put(akey, stale); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.CompileWait(ctx, client.CompileRequest{Net: editedNetText(t), Seed: 1, Base: base.Key})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != 404 || ae.Code != client.CodeBaseArtifactMissing {
+		t.Fatalf("want 404 %s, got %v", client.CodeBaseArtifactMissing, err)
+	}
+	if !strings.Contains(ae.Message, "autoncs-artifact/v1") {
+		t.Errorf("message %q does not carry the decode error", ae.Message)
+	}
+}
+
 // TestDeltaBadBase: a malformed base key is a plain 400.
 func TestDeltaBadBase(t *testing.T) {
 	_, c := newTestServer(t, Options{Slots: 1})

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cache"
 )
 
 // trio is an in-process three-daemon fleet: every server knows the other
@@ -163,6 +166,41 @@ func TestFleetPeerCacheHit(t *testing.T) {
 	}
 	if m.PeerHits != 1 {
 		t.Fatalf("repeat re-probed the peer: peer_hits=%d", m.PeerHits)
+	}
+}
+
+// TestFleetBadPeerArtifactNotWrittenThrough: a base artifact a peer serves
+// but this daemon cannot decode is refused with the typed 404 and never
+// written through to the local cache.
+func TestFleetBadPeerArtifactNotWrittenThrough(t *testing.T) {
+	tr := newTrio(t, nil)
+	var base [32]byte
+	for i := 0; ; i++ {
+		base = sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+		if tr.srv[0].fleet.Owns(client.ArtifactKey(base)) {
+			break
+		}
+	}
+	akey := cache.Key(client.ArtifactKey(base))
+	if err := tr.srv[0].cache.Put(akey, []byte(`{"format":"autoncs-artifact/v1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := tr.cl[1].CompileWait(context.Background(), client.CompileRequest{
+		Net: editedNetText(t), Seed: 1, Base: cache.Key(base).Hex(),
+	})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != 404 || ae.Code != client.CodeBaseArtifactMissing {
+		t.Fatalf("want 404 %s, got %v", client.CodeBaseArtifactMissing, err)
+	}
+	if _, hit, _ := tr.srv[1].cache.GetDetail(akey); hit {
+		t.Fatal("undecodable peer artifact was written through to the local cache")
+	}
+	m, err := tr.cl[1].Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PeerHits != 1 {
+		t.Fatalf("peer_hits=%d, want the one probe that served the bad artifact", m.PeerHits)
 	}
 }
 
