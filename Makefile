@@ -8,7 +8,7 @@ BENCH_NEW ?= bench_new.txt
 # -benchtime=1x; raise the count for tighter confidence intervals.
 BENCH_COUNT ?= 6
 
-.PHONY: all build vet test test-race lint fuzz serve e2e e2e-fleet bench bench-save bench-compare bench-large golden-update clean
+.PHONY: all build vet test test-race lint fuzz serve e2e e2e-fleet bench bench-save bench-compare bench-large bench-selftest golden-update clean
 
 all: build vet test
 
@@ -83,6 +83,11 @@ bench-compare:
 
 bench-large:
 	$(GO) test -bench='2000' -benchtime=1x -run='^$$' -timeout=4h ./
+
+# benchmark/ is a nested module that `go test ./...` skips: vet it and run
+# its self-tests against the current tree (CI's benchmark-selftest job).
+bench-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Regenerate the golden compile summaries after an intentional
 # behaviour change. Review the diff before committing.

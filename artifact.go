@@ -220,7 +220,10 @@ func checkAssignment(a *Assignment) error {
 // congestion map from the stored paths, and the cost report re-evaluated;
 // all are bit-identical to the original compile's because every one is a
 // deterministic function of the stored state. A box whose grid would
-// exceed route.MaxGridBins is refused before anything is sized by it.
+// exceed route.MaxGridBins is refused before anything is sized by it, and
+// so is a routing the router could not have produced (route.CheckPaths):
+// a path that misses its wire's pins or jumps between non-adjacent bins,
+// or a length that differs from its path's.
 func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	res := &Result{Assignment: a.Assignment, Device: cfg.Device}
 	if a.Placement == nil {
@@ -244,6 +247,9 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("autoncs: artifact placement box %g×%g µm at θ=%g µm exceeds the %d-bin routing grid cap",
 			p.Width(), p.Height(), cfg.Route.Theta, route.MaxGridBins)
 	}
+	if err := route.CheckPaths(nl, p, cfg.Route.Theta, rt.Paths, rt.WireLength); err != nil {
+		return nil, fmt.Errorf("autoncs: artifact routing: %w", err)
+	}
 	rt.Total = 0
 	for _, l := range rt.WireLength {
 		rt.Total += l
@@ -251,9 +257,6 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	rt.Usage = make([]int, rt.Cols*rt.Rows)
 	for _, path := range rt.Paths {
 		for _, b := range path {
-			if b < 0 || b >= len(rt.Usage) {
-				return nil, fmt.Errorf("autoncs: artifact path bin %d outside %dx%d grid", b, rt.Cols, rt.Rows)
-			}
 			rt.Usage[b]++
 		}
 	}

@@ -2,10 +2,12 @@ package autoncs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"repro/internal/route"
 	"repro/internal/xbar"
 )
 
@@ -68,6 +70,94 @@ func withAssignment(tb testing.TB, data []byte, edit func(*Assignment)) []byte {
 	return out
 }
 
+// withRouting re-encodes an artifact with its routing section changed by
+// edit.
+func withRouting(tb testing.TB, data []byte, edit func(*routingJSON)) []byte {
+	tb.Helper()
+	var art artifactJSON
+	if err := json.Unmarshal(data, &art); err != nil {
+		tb.Fatal(err)
+	}
+	edit(art.Routing)
+	out, err := json.Marshal(art)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestArtifactRestoreRejectsImpossibleRoutes: a routing the router could
+// not have produced decodes (DecodeArtifact checks shapes only), but
+// Restore refuses it, so it can never seed a warm route. Without the
+// check, a zero-edit CompileDeltaCtx returned the teleporting path below
+// with a nil error.
+func TestArtifactRestoreRejectsImpossibleRoutes(t *testing.T) {
+	data := tinyArtifact(t, 30)
+	cfg := DefaultConfig()
+	art, err := DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := art.Restore(cfg)
+	if err != nil {
+		t.Fatalf("unedited artifact rejected: %v", err)
+	}
+	cols, theta := good.Routing.Cols, cfg.Route.Theta
+	adjacent := func(a, b int) bool {
+		dc, dr := a%cols-b%cols, a/cols-b/cols
+		return dc*dc+dr*dr == 1
+	}
+	// w is the first wire routed over at least three bins.
+	w := -1
+	for i, p := range good.Routing.Paths {
+		if len(p) >= 3 {
+			w = i
+			break
+		}
+	}
+	if w < 0 {
+		t.Fatal("no wire of the tiny design spans three bins")
+	}
+	path := good.Routing.Paths[w]
+	for _, tc := range []struct {
+		name string
+		edit func(*routingJSON)
+	}{
+		{"teleport", func(r *routingJSON) {
+			// Swap the middle bin for one adjacent to neither neighbour.
+			p := append([]int(nil), path...)
+			for b := 0; ; b++ {
+				if b != p[1] && !adjacent(b, p[0]) && !adjacent(b, p[2]) {
+					p[1] = b
+					break
+				}
+			}
+			r.Paths[w] = p
+		}},
+		{"wrong endpoint", func(r *routingJSON) {
+			// Drop the target bin and shorten the length to match: every
+			// step stays adjacent, but the path stops one bin short.
+			r.Paths[w] = append([]int(nil), path[:len(path)-1]...)
+			r.WireLength[w] = float64(len(path)-2) * theta
+		}},
+		{"off-grid bin", func(r *routingJSON) {
+			p := append([]int(nil), path...)
+			p[1] = -1
+			r.Paths[w] = p
+		}},
+		{"wrong length", func(r *routingJSON) { r.WireLength[w] += theta }},
+		{"missing path", func(r *routingJSON) { r.Paths[w] = nil }},
+	} {
+		bad, err := DecodeArtifact(withRouting(t, data, tc.edit))
+		if err != nil {
+			t.Fatalf("%s: decode should accept it (Restore rejects it): %v", tc.name, err)
+		}
+		if _, err := bad.Restore(cfg); err == nil || !strings.Contains(err.Error(), "artifact routing") {
+			t.Errorf("%s: Restore err %v, want the routing refusal", tc.name, err)
+		}
+	}
+}
+
 // TestArtifactOversizedGridRejected: an artifact whose placement box would
 // size a routing grid past route.MaxGridBins decodes, but Restore refuses
 // it with an error instead of allocating (or panicking on) the grid.
@@ -84,8 +174,11 @@ func TestArtifactOversizedGridRejected(t *testing.T) {
 
 // FuzzDecodeArtifact: no byte stream makes DecodeArtifact or Restore
 // panic, and an artifact that restores yields a congestion map matching its
-// grid. Artifacts reach the daemon from its disk cache and from fleet
-// peers, so both are untrusted input.
+// grid. Whatever restores (up to 64 neurons, to keep executions fast) must
+// also survive a zero-edit CompileDeltaCtx, which commits its paths as
+// warm routes: no panic, and any result it returns routes every wire over
+// adjacent bins between its pins. Artifacts reach the daemon from its disk
+// cache and from fleet peers, so both are untrusted input.
 func FuzzDecodeArtifact(f *testing.F) {
 	crossbar := tinyArtifact(f, 30)
 	f.Add(crossbar)
@@ -103,6 +196,16 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 		if rt := res.Routing; rt != nil && len(rt.Usage) != rt.Cols*rt.Rows {
 			t.Fatalf("restored usage map has %d bins for a %d×%d grid", len(rt.Usage), rt.Cols, rt.Rows)
+		}
+		if res.Assignment.N > 64 {
+			return
+		}
+		delta, _, err := CompileDeltaCtx(context.Background(), res, BaseNetwork(res.Assignment), cfg)
+		if err != nil || delta.Routing == nil {
+			return
+		}
+		if err := route.CheckPaths(delta.Netlist, delta.Placement, cfg.Route.Theta, delta.Routing.Paths, delta.Routing.WireLength); err != nil {
+			t.Fatalf("zero-edit delta of a restored artifact: %v", err)
 		}
 	})
 }

@@ -130,7 +130,7 @@ func main() {
 
 	res, err := autoncs.CompileCtx(ctx, net, cfg)
 	if err != nil {
-		exitErr("autoncs", err)
+		exitErr(err) // package errors carry their own "autoncs:" prefix
 	}
 	printResult("AutoNCS", res, *verbose || *trace)
 	if *dumpPath != "" {
@@ -144,7 +144,7 @@ func main() {
 	if *baseline {
 		full, err := autoncs.CompileFullCroCtx(ctx, net, cfg)
 		if err != nil {
-			exitErr("fullcro", err)
+			exitErr(fmt.Errorf("fullcro: %w", err))
 		}
 		printResult("FullCro", full, *verbose || *trace)
 		if !*skipPhys {
@@ -175,8 +175,8 @@ func stderrObserver(verbose, trace bool) autoncs.Observer {
 }
 
 // exitErr prints err and exits — with the conventional 130 after Ctrl-C.
-func exitErr(prefix string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
+func exitErr(err error) {
+	fmt.Fprintln(os.Stderr, err)
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "interrupted")
 		os.Exit(130)
@@ -276,7 +276,7 @@ func remoteCompile(ctx context.Context, c *client.Client, req client.CompileRequ
 			fmt.Fprintf(os.Stderr, "remote: %v (retry in %v)\n", err, apiErr.RetryAfter)
 			os.Exit(1)
 		}
-		exitErr("remote", err)
+		exitErr(fmt.Errorf("remote: %w", err))
 	}
 	if st.State != client.StateDone {
 		fmt.Fprintf(os.Stderr, "remote: job %s ended %s: %s\n", st.ID, st.State, st.Error)

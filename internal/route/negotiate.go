@@ -9,30 +9,30 @@
 // every round an edge finishes over capacity — so chronically contested
 // edges become expensive even when momentarily free, and wires negotiate
 // who detours. Sub-capacity usage is free: an edge with headroom costs
-// exactly θ (+ any history), so the θ·Manhattan heuristic stays tight and
-// searches expand narrow corridors instead of flooding — pricing all usage
-// inflates g-costs everywhere, degrades A* toward a breadth-first ball, and
-// was measured at >10× the expansions for no quality gain. Rounds rip up
-// just enough wires to bring every edge back to capacity (partial rip-up,
-// reverse wire order) and reroute them until no edge is overused; if that
-// has not converged after negotiationRounds rounds, one final relaxation
-// raises the capacity to the peak edge demand of the routing in hand, so
-// every route completes.
+// exactly θ (+ any history), so the θ·Manhattan heuristic stays tight —
+// pricing all usage inflates g-costs everywhere, degrades A* toward a
+// breadth-first ball, and was measured at >10× the expansions for no
+// quality gain. Rounds rip up just enough wires to bring every edge back
+// to capacity (partial rip-up, reverse wire order) and reroute them until
+// no edge is overused; if that has not converged after negotiationRounds
+// rounds, one final relaxation raises the capacity to the peak edge demand
+// of the routing in hand, so every route completes.
 //
-// Searches are bidirectional A* (meet in the middle): one epoch-stamped
-// searchState expands from the source toward the target and a second from
-// the target toward the source, each under its own Manhattan bound scaled
-// by heuristicBias (weighted A*), always popping the side with the cheaper
-// f-value. Every relaxation checks whether the other side already settled
-// the node and tracks the best meeting total µ; the search stops as soon
-// as either side's top-of-heap f-value reaches µ. With the biased
-// heuristic the returned path may exceed the true optimum by up to the
-// bias factor — a deliberate trade: the negotiation reroutes iteratively
-// anyway, and the tighter frontier cuts heap pops by an order of
-// magnitude. On uniform edge costs the biased search still returns
-// shortest paths. The committed
-// path is the forward chain to the meeting node joined to the backward
-// chain from it.
+// Searches are bidirectional A* (meet in the middle) under the balanced
+// potential pot(v) = θ·(Manhattan(v,t) − Manhattan(v,s))/2: one
+// epoch-stamped searchState expands from the source keyed on g + pot and
+// a second from the target keyed on g − pot, always popping the side with
+// the cheaper key. Every relaxation checks whether the other side already
+// settled the node and tracks the best meeting total µ; the search stops
+// as soon as the two top-of-heap keys sum to µ. The potential changes by
+// at most θ per step and every edge costs at least θ, so both keys are
+// consistent and the search is exact: it returns a cheapest path. Giving
+// each side the full Manhattan bound instead (and stopping when either
+// side's key reaches µ) is also exact, but both sides then expand the
+// whole region cheaper than µ, about twice the pops. Both sides stay
+// inside the wire's window (see windowMargin), so the frontier tracks the
+// wire's length rather than the grid's area. The committed path is the
+// forward chain to the meeting node joined to the backward chain from it.
 //
 // Parallelism is batch-speculative: a batch's searches run concurrently
 // against the usage snapshot at batch start, then commit sequentially in
@@ -79,11 +79,7 @@ type negotiator struct {
 // search must expand everything cheaper than the crossing before conceding.
 // Capped, a wire tolerates detours only up to ~(presentCap+historyCap)·θ
 // and then crosses anyway; the residual overuse is resolved by capacity
-// escalation, not by ever-steeper prices. heuristicBias inflates the A*
-// lower bound (weighted A*): searches lose optimality they did not need —
-// the negotiation reroutes iteratively regardless — and expand corridors
-// a few bins wide instead of Manhattan balls. On uniform cost (round 1,
-// uncongested regions) the biased search still returns shortest paths.
+// escalation, not by ever-steeper prices.
 const (
 	batchSize         = 16
 	presentFactor     = 0.5
@@ -91,8 +87,19 @@ const (
 	negotiationRounds = 48
 	presentCap        = 10.0
 	historyCap        = 6.0
-	heuristicBias     = 1.5
 )
+
+// windowMargin is how many bins a search may stray outside the bounding box
+// of its wire's terminal bins, on every side (clipped to the grid). It
+// follows from the price caps: leaving the box by d bins lengthens a path
+// by at least 2d·θ, while the priciest edge costs at most
+// (presentCap+historyCap)·θ more than a free one, so a detour wider than
+// the margin can never pay for itself against a single priced edge. The
+// window is a pure function of the two terminal bins and the grid, so it
+// keeps routing bit-identical for any Workers value, and it always holds a
+// path: a rectangle containing both terminals is connected, and negotiated
+// costs never block an edge.
+const windowMargin = (presentCap + historyCap) / 2
 
 // edgeCost prices stepping onto the edge at idx of the given orientation.
 // Only overuse is priced — sub-capacity edges cost base θ plus history, so
@@ -115,11 +122,11 @@ type biState struct {
 	fwd, bwd searchState
 }
 
-// biSearch finds the cheapest path from bin s to bin t (s ≠ t) under the
-// negotiated edge costs. The path is written into buf (reallocated only
-// when it must grow) and returned along with the total heap pops of both
-// sides. Negotiated costs never block an edge, so on a connected grid a
-// path always exists; nil is returned only defensively.
+// biSearch finds the cheapest path from bin s to bin t (s ≠ t) inside
+// their window under the negotiated edge costs. The path is written into
+// buf (reallocated only when it must grow) and returned along with the
+// total heap pops of both sides. Negotiated costs never block an edge, so
+// the window always holds a path; nil is returned only defensively.
 func (ng *negotiator) biSearch(bi *biState, s, t int, buf []int) ([]int, int) {
 	g := ng.g
 	n := g.cols * g.rows
@@ -128,7 +135,16 @@ func (ng *negotiator) biSearch(bi *biState, s, t int, buf []int) ([]int, int) {
 	bwd.begin(n)
 	sc, sr := s%g.cols, s/g.cols
 	tc, tr := t%g.cols, t/g.cols
-	h0 := heuristicBias * g.theta * float64(absInt(sc-tc)+absInt(sr-tr))
+	// The window: the terminals' bounding box grown by windowMargin bins,
+	// clipped to the grid. A neighbour outside it is never relaxed.
+	c0, c1 := max(min(sc, tc)-windowMargin, 0), min(max(sc, tc)+windowMargin, g.cols-1)
+	r0, r1 := max(min(sr, tr)-windowMargin, 0), min(max(sr, tr)+windowMargin, g.rows-1)
+	// pot is the forward side's potential: half the θ·Manhattan bound to t
+	// minus half the bound to s. The backward side keys on −pot.
+	pot := func(c, r int) float64 {
+		return 0.5 * g.theta * float64(absInt(c-tc)+absInt(r-tr)-absInt(c-sc)-absInt(r-sr))
+	}
+	h0 := 0.5 * g.theta * float64(absInt(sc-tc)+absInt(sr-tr)) // pot(s) = −pot(t)
 	fwd.relax(int32(s), -1, 0)
 	fwd.push(pqItem{node: int32(s), cost: h0})
 	bwd.relax(int32(t), -1, 0)
@@ -137,19 +153,15 @@ func (ng *negotiator) biSearch(bi *biState, s, t int, buf []int) ([]int, int) {
 	meet := int32(-1)
 	pops := 0
 	for len(fwd.heap) > 0 && len(bwd.heap) > 0 {
-		// Once either frontier's cheapest f-value reaches the best meeting
-		// total µ, stop: any undiscovered path passes through a node still
-		// on that frontier. With heuristicBias > 1 the bound is inflated,
-		// so the path kept may be up to bias× the optimum — accepted for
-		// the frontier reduction (see the package comment).
-		if fwd.heap[0].cost >= mu || bwd.heap[0].cost >= mu {
+		// Once the two frontiers' cheapest keys sum to the best meeting
+		// total µ, stop: any undiscovered path joins a node on each
+		// frontier, and the potentials cancel along it.
+		if fwd.heap[0].cost+bwd.heap[0].cost >= mu {
 			break
 		}
-		st, other := fwd, bwd
-		hc, hr := tc, tr // heuristic target of the expanding side
+		st, other, sign := fwd, bwd, 1.0
 		if bwd.heap[0].cost < fwd.heap[0].cost {
-			st, other = bwd, fwd
-			hc, hr = sc, sr
+			st, other, sign = bwd, fwd, -1
 		}
 		it := st.pop()
 		pops++
@@ -164,7 +176,7 @@ func (ng *negotiator) biSearch(bi *biState, s, t int, buf []int) ([]int, int) {
 				st.relax(nn, it.node, gc)
 				st.push(pqItem{
 					node: nn,
-					cost: gc + heuristicBias*g.theta*float64(absInt(nc-hc)+absInt(nr-hr)),
+					cost: gc + sign*pot(nc, nr),
 					g:    gc,
 				})
 				if other.stamp[nn] == other.epoch {
@@ -175,16 +187,16 @@ func (ng *negotiator) biSearch(bi *biState, s, t int, buf []int) ([]int, int) {
 				}
 			}
 		}
-		if c+1 < g.cols {
+		if c < c1 {
 			try(c+1, r, g.hUsage, ng.histH, r*g.cols+c)
 		}
-		if c-1 >= 0 {
+		if c > c0 {
 			try(c-1, r, g.hUsage, ng.histH, r*g.cols+c-1)
 		}
-		if r+1 < g.rows {
+		if r < r1 {
 			try(c, r+1, g.vUsage, ng.histV, r*g.cols+c)
 		}
-		if r-1 >= 0 {
+		if r > r0 {
 			try(c, r-1, g.vUsage, ng.histV, (r-1)*g.cols+c)
 		}
 	}

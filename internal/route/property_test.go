@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,12 +31,15 @@ func congestedNetlist(t *testing.T) (*netlist.Netlist, *place.Result) {
 // checkRouteInvariants asserts the structural properties every routed
 // result must satisfy, and returns the peak edge usage:
 //
-//  1. each wire's path starts in its source bin, ends in its target bin,
-//     and steps only between edge-adjacent bins (a same-bin wire's path is
-//     its single bin);
+//  1. CheckPaths accepts the routing: each wire's path starts in its
+//     source bin, ends in its target bin, and steps only between
+//     edge-adjacent bins (a same-bin wire's path is its single bin), and
+//     each wire's length is its path's;
 //  2. the congestion map Usage is exactly the per-bin visit count summed
 //     over all paths;
-//  3. no grid edge carries more wires than FinalCapacity.
+//  3. no grid edge carries more wires than FinalCapacity;
+//  4. every multi-bin path lies inside its wire's window: the bounding box
+//     of its terminal bins grown by windowMargin bins on every side.
 func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, opts Options, res *Result) int {
 	t.Helper()
 	g, err := newGrid(pl, opts.Theta)
@@ -45,37 +49,25 @@ func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, o
 	if res.Cols != g.cols || res.Rows != g.rows {
 		t.Fatalf("result grid %d×%d, want %d×%d", res.Cols, res.Rows, g.cols, g.rows)
 	}
+	if err := CheckPaths(nl, pl, opts.Theta, res.Paths, res.WireLength); err != nil {
+		t.Fatal(err)
+	}
 	usage := make([]int, g.cols*g.rows)
 	hUse := make([]int, g.cols*g.rows)
 	vUse := make([]int, g.cols*g.rows)
 	for _, w := range nl.Wires {
 		path := res.Paths[w.ID]
-		if len(path) == 0 {
-			t.Fatalf("wire %d has no path", w.ID)
-		}
-		sc, sr := g.binOf(pl.X[w.From], pl.Y[w.From])
-		tc, tr := g.binOf(pl.X[w.To], pl.Y[w.To])
-		src, dst := sr*g.cols+sc, tr*g.cols+tc
-		if path[0] != src {
-			t.Fatalf("wire %d starts at bin %d, want source bin %d", w.ID, path[0], src)
-		}
-		if path[len(path)-1] != dst {
-			t.Fatalf("wire %d ends at bin %d, want target bin %d", w.ID, path[len(path)-1], dst)
-		}
-		if src == dst && len(path) != 1 {
-			t.Fatalf("same-bin wire %d has %d-bin path", w.ID, len(path))
+		src, dst := g.terminalBins(pl, w)
+		if b, ok := outsideWindow(g.cols, src, dst, path); !ok {
+			t.Fatalf("wire %d: path bin %d outside the window of bins %d→%d", w.ID, b, src, dst)
 		}
 		for i := 1; i < len(path); i++ {
 			a, b := path[i-1], path[i]
-			ac, ar := a%g.cols, a/g.cols
-			bc, br := b%g.cols, b/g.cols
-			if absInt(ac-bc)+absInt(ar-br) != 1 {
-				t.Fatalf("wire %d step %d: bins %d→%d not adjacent", w.ID, i, a, b)
-			}
+			horizontal := a/g.cols == b/g.cols
 			if b < a {
 				a = b
 			}
-			if absInt(ac-bc) == 1 {
+			if horizontal {
 				hUse[a]++
 			} else {
 				vUse[a]++
@@ -104,6 +96,214 @@ func checkRouteInvariants(t *testing.T, nl *netlist.Netlist, pl *place.Result, o
 		peak = max(peak, u)
 	}
 	return peak
+}
+
+// outsideWindow reports the first bin of path outside the window of the
+// wire from bin src to bin dst on a grid cols wide (ok = false), or ok =
+// true when the whole path lies inside. Clipping the window to the grid
+// changes nothing here: every bin of a path is on the grid.
+func outsideWindow(cols, src, dst int, path []int) (bin int, ok bool) {
+	sc, sr, tc, tr := src%cols, src/cols, dst%cols, dst/cols
+	for _, b := range path {
+		c, r := b%cols, b/cols
+		if c < min(sc, tc)-windowMargin || c > max(sc, tc)+windowMargin ||
+			r < min(sr, tr)-windowMargin || r > max(sr, tr)+windowMargin {
+			return b, false
+		}
+	}
+	return 0, true
+}
+
+// TestRouteSearchSaturatedBox saturates every edge inside a wire's
+// bounding box, so the cheapest path detours around the box: the search
+// must still find a path between the terminals, leave the box, and stay
+// inside the window — and neither side may even relax a bin outside it.
+// With every edge of the grid saturated instead, no detour pays, and the
+// search must still complete inside the window.
+func TestRouteSearchSaturatedBox(t *testing.T) {
+	const cols, rows = 60, 50
+	s, d := 20*cols+20, 25*cols+30 // bounding box: columns 20..30, rows 20..25
+	inBox := func(b int) bool {
+		c, r := b%cols, b/cols
+		return c >= 20 && c <= 30 && r >= 20 && r <= 25
+	}
+	for _, tc := range []struct {
+		name      string
+		saturated func(a, b int) bool // is the edge between bins a and b saturated
+		leavesBox bool
+	}{
+		{"box", func(a, b int) bool { return inBox(a) && inBox(b) }, true},
+		{"grid", func(a, b int) bool { return true }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testGrid(cols, rows)
+			ng := testNegotiator(g)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					a := r*cols + c
+					if c+1 < cols && tc.saturated(a, a+1) {
+						g.hUsage[a] = 100
+						ng.histH[a] = historyCap * g.theta
+					}
+					if r+1 < rows && tc.saturated(a, a+cols) {
+						g.vUsage[a] = 100
+						ng.histV[a] = historyCap * g.theta
+					}
+				}
+			}
+			bi := new(biState)
+			path, _ := ng.biSearch(bi, s, d, nil)
+			for b := 0; b < cols*rows; b++ {
+				touched := bi.fwd.stamp[b] == bi.fwd.epoch || bi.bwd.stamp[b] == bi.bwd.epoch
+				if _, ok := outsideWindow(cols, s, d, []int{b}); touched && !ok {
+					t.Fatalf("search relaxed bin %d outside the window", b)
+				}
+			}
+			if len(path) < 2 || path[0] != s || path[len(path)-1] != d {
+				t.Fatalf("path %v does not run from bin %d to bin %d", path, s, d)
+			}
+			left := false
+			for i, b := range path {
+				if i > 0 && absInt(b%cols-path[i-1]%cols)+absInt(b/cols-path[i-1]/cols) != 1 {
+					t.Fatalf("step %d: bins %d→%d not adjacent", i, path[i-1], b)
+				}
+				left = left || !inBox(b)
+			}
+			if b, ok := outsideWindow(cols, s, d, path); !ok {
+				t.Fatalf("path bin %d outside the window", b)
+			}
+			if left != tc.leavesBox {
+				t.Fatalf("path leaves the bounding box: %v, want %v", left, tc.leavesBox)
+			}
+		})
+	}
+}
+
+// TestRouteSearchWindowBindsDetour builds the case the window exists for:
+// two saturated walls cross the whole window between a wire's terminals,
+// and the free detour around them passes one bin beyond the margin. That
+// detour is the cheapest path on the full grid (28θ of free edges against
+// 10θ plus two walls at (presentCap+historyCap)·θ extra each), so only the
+// window keeps the search from taking it: the search must cross the walls
+// and relax no bin outside the window.
+func TestRouteSearchWindowBindsDetour(t *testing.T) {
+	const cols, rows = 60, 50
+	s, d := 20*cols+20, 20*cols+30 // window: columns 12..38, rows 12..28
+	g := testGrid(cols, rows)
+	ng := &negotiator{
+		g: g, capacity: 8, round: 3,
+		histH: make([]float64, len(g.hUsage)),
+		histV: make([]float64, len(g.vUsage)),
+	}
+	for r := 12; r <= 28; r++ {
+		for _, c := range []int{24, 25} { // the edges (24,r)–(25,r) and (25,r)–(26,r)
+			g.hUsage[r*cols+c] = 100
+			ng.histH[r*cols+c] = historyCap * g.theta
+		}
+	}
+	bi := new(biState)
+	path, _ := ng.biSearch(bi, s, d, nil)
+	if len(path) < 2 || path[0] != s || path[len(path)-1] != d {
+		t.Fatalf("path %v does not run from bin %d to bin %d", path, s, d)
+	}
+	if b, ok := outsideWindow(cols, s, d, path); !ok {
+		t.Fatalf("path bin %d outside the window: the search took the detour", b)
+	}
+	for b := 0; b < cols*rows; b++ {
+		touched := bi.fwd.stamp[b] == bi.fwd.epoch || bi.bwd.stamp[b] == bi.bwd.epoch
+		if _, ok := outsideWindow(cols, s, d, []int{b}); touched && !ok {
+			t.Fatalf("search relaxed bin %d outside the window", b)
+		}
+	}
+}
+
+// stepCost prices the step between adjacent bins a and b as a search
+// entering the edge would.
+func stepCost(ng *negotiator, a, b int) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if b == a+1 {
+		return ng.edgeCost(ng.g.hUsage, ng.histH, a)
+	}
+	return ng.edgeCost(ng.g.vUsage, ng.histV, a)
+}
+
+// windowDijkstra is the reference for biSearch: the cheapest s→t cost by
+// plain Dijkstra over the bins of the wire's window.
+func windowDijkstra(ng *negotiator, s, t int) float64 {
+	g := ng.g
+	n := g.cols * g.rows
+	dist := make([]float64, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[s] = 0
+	for {
+		u := -1
+		for v := 0; v < n; v++ {
+			if !done[v] && !math.IsInf(dist[v], 1) && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 || u == t {
+			return dist[t]
+		}
+		done[u] = true
+		for _, step := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+			c, r := u%g.cols+step[0], u/g.cols+step[1]
+			if c < 0 || c >= g.cols || r < 0 || r >= g.rows {
+				continue
+			}
+			v := r*g.cols + c
+			if _, ok := outsideWindow(g.cols, s, t, []int{v}); !ok {
+				continue
+			}
+			if d := dist[u] + stepCost(ng, u, v); d < dist[v] {
+				dist[v] = d
+			}
+		}
+	}
+}
+
+// TestRouteSearchExact pins that biSearch returns a cheapest path inside
+// the window: on randomly congested grids (overused edges priced at every
+// level up to the caps, plus history), its path costs exactly what plain
+// Dijkstra over the window finds.
+func TestRouteSearchExact(t *testing.T) {
+	const cols, rows = 30, 25
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 12; trial++ {
+		g := testGrid(cols, rows)
+		ng := testNegotiator(g)
+		// About a third of the edges overused (capacity 8), a quarter with
+		// history, the rest free at exactly θ.
+		for i := range g.hUsage {
+			g.hUsage[i] = rng.Intn(12)
+			g.vUsage[i] = rng.Intn(12)
+			ng.histH[i] = float64(rng.Intn(16)/12) * rng.Float64() * historyCap * g.theta
+			ng.histV[i] = float64(rng.Intn(16)/12) * rng.Float64() * historyCap * g.theta
+		}
+		bi := new(biState)
+		for pair := 0; pair < 20; pair++ {
+			s, d := rng.Intn(cols*rows), rng.Intn(cols*rows)
+			if s == d {
+				continue
+			}
+			path, _ := ng.biSearch(bi, s, d, nil)
+			if len(path) < 2 || path[0] != s || path[len(path)-1] != d {
+				t.Fatalf("trial %d: path %v does not run from bin %d to bin %d", trial, path, s, d)
+			}
+			got := 0.0
+			for i := 1; i < len(path); i++ {
+				got += stepCost(ng, path[i-1], path[i])
+			}
+			if want := windowDijkstra(ng, s, d); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("trial %d, bins %d→%d: path costs %g, the window's cheapest is %g", trial, s, d, got, want)
+			}
+		}
+	}
 }
 
 // TestRoutePathProperties checks the invariants on a congested workload.

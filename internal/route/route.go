@@ -11,7 +11,8 @@
 // paper's escalation; a negotiation that runs out of rounds ends with one
 // final relaxation to the peak edge demand, so every route completes.
 // Searches run bidirectionally (meet-in-the-middle A* under the Manhattan
-// bound).
+// bound), each confined to its wire's window: the terminals' bounding box
+// plus a margin derived from the price caps.
 //
 // Wires are processed in fixed batches: every wire of a batch runs its maze
 // search against the usage snapshot at batch start (those searches fan out
@@ -163,18 +164,34 @@ func GridDims(width, height, theta float64) (cols, rows int, ok bool) {
 	return int(c), int(r), true
 }
 
+// newGrid sizes the routing grid over the placement, with empty usage maps.
 func newGrid(pl *place.Result, theta float64) (*grid, error) {
+	g, err := gridOver(pl, theta)
+	if err != nil {
+		return nil, err
+	}
+	g.hUsage = make([]int, g.cols*g.rows)
+	g.vUsage = make([]int, g.cols*g.rows)
+	return g, nil
+}
+
+// gridOver sizes the routing grid over the placement without allocating
+// its usage maps: enough to map pins to bins.
+func gridOver(pl *place.Result, theta float64) (*grid, error) {
 	cols, rows, ok := GridDims(pl.Width(), pl.Height(), theta)
 	if !ok {
 		return nil, fmt.Errorf("route: a %g×%g µm placement at θ=%g µm exceeds the %d-bin grid cap",
 			pl.Width(), pl.Height(), theta, MaxGridBins)
 	}
-	return &grid{
-		cols: cols, rows: rows, theta: theta,
-		minX: pl.MinX, minY: pl.MinY,
-		hUsage: make([]int, cols*rows),
-		vUsage: make([]int, cols*rows),
-	}, nil
+	return &grid{cols: cols, rows: rows, theta: theta, minX: pl.MinX, minY: pl.MinY}, nil
+}
+
+// terminalBins returns the row-major bins of the wire's source and target
+// pins.
+func (g *grid) terminalBins(pl *place.Result, w netlist.Wire) (src, dst int) {
+	sc, sr := g.binOf(pl.X[w.From], pl.Y[w.From])
+	tc, tr := g.binOf(pl.X[w.To], pl.Y[w.To])
+	return sr*g.cols + sc, tr*g.cols + tc
 }
 
 func (g *grid) binOf(x, y float64) (int, int) {
@@ -195,8 +212,9 @@ func (g *grid) binOf(x, y float64) (int, int) {
 	return c, r
 }
 
-// pqItem is a priority-queue entry for the A* search: cost is the f-value
-// (g + heuristic) used for ordering, g the actual path cost so far.
+// pqItem is a priority-queue entry for the A* search: cost is the key
+// used for ordering (g plus the side's potential), g the actual path cost
+// so far.
 type pqItem struct {
 	node int32
 	cost float64
@@ -413,9 +431,7 @@ func newRouter(nl *netlist.Netlist, pl *place.Result, opts Options, res *Result)
 	src := make([]int, len(nl.Wires))
 	dst := make([]int, len(nl.Wires))
 	for i, w := range nl.Wires {
-		sc, sr := g.binOf(pl.X[w.From], pl.Y[w.From])
-		tc, tr := g.binOf(pl.X[w.To], pl.Y[w.To])
-		src[i], dst[i] = sr*g.cols+sc, tr*g.cols+tc
+		src[i], dst[i] = g.terminalBins(pl, w)
 	}
 	res.Paths = make([][]int, len(nl.Wires))
 	return &router{
@@ -471,12 +487,64 @@ type router struct {
 }
 
 // commitSameBin routes a wire whose terminals share a bin: a direct
-// connection consuming no grid edges, with the physical pin distance
-// (floored at θ/2) as its length.
+// connection consuming no grid edges.
 func (rt *router) commitSameBin(wi int) {
-	w := rt.nl.Wires[wi]
 	rt.res.Paths[wi] = append(rt.res.Paths[wi][:0], rt.src[wi])
-	rt.res.WireLength[wi] = math.Max(
-		math.Abs(rt.pl.X[w.From]-rt.pl.X[w.To])+math.Abs(rt.pl.Y[w.From]-rt.pl.Y[w.To]),
-		rt.opts.Theta/2)
+	rt.res.WireLength[wi] = sameBinLength(rt.pl, rt.nl.Wires[wi], rt.opts.Theta)
+}
+
+// sameBinLength is the routed length of a wire whose terminals share a bin:
+// the physical pin distance, floored at θ/2.
+func sameBinLength(pl *place.Result, w netlist.Wire, theta float64) float64 {
+	return math.Max(math.Abs(pl.X[w.From]-pl.X[w.To])+math.Abs(pl.Y[w.From]-pl.Y[w.To]), theta/2)
+}
+
+// CheckPaths verifies a routing of the netlist over the placement at bin
+// width theta, as Route would have produced it: one path and one length
+// per wire; every path starts in its wire's source bin, ends in its target
+// bin, and steps only between edge-adjacent bins of the grid (a same-bin
+// wire's path is its one bin); and every length is exactly what the router
+// records for that path. It guards routings read from untrusted bytes,
+// such as a decoded artifact's, before they are trusted as warm paths.
+func CheckPaths(nl *netlist.Netlist, pl *place.Result, theta float64, paths [][]int, lengths []float64) error {
+	if len(pl.X) != len(nl.Cells) || len(pl.Y) != len(nl.Cells) {
+		return fmt.Errorf("route: placement has %d x and %d y coordinates for %d cells", len(pl.X), len(pl.Y), len(nl.Cells))
+	}
+	if len(paths) != len(nl.Wires) || len(lengths) != len(nl.Wires) {
+		return fmt.Errorf("route: %d paths and %d lengths for %d wires", len(paths), len(lengths), len(nl.Wires))
+	}
+	g, err := gridOver(pl, theta)
+	if err != nil {
+		return err
+	}
+	cols, rows := g.cols, g.rows
+	for wi, w := range nl.Wires {
+		path := paths[wi]
+		src, dst := g.terminalBins(pl, w)
+		switch {
+		case src == dst && (len(path) != 1 || path[0] != src):
+			return fmt.Errorf("route: wire %d has both pins in bin %d, its path must be that one bin", wi, src)
+		case src != dst && (len(path) < 2 || path[0] != src || path[len(path)-1] != dst):
+			return fmt.Errorf("route: wire %d's path must run from bin %d to bin %d", wi, src, dst)
+		}
+		for i, b := range path {
+			if b < 0 || b >= cols*rows {
+				return fmt.Errorf("route: wire %d path bin %d outside the %d×%d grid", wi, b, cols, rows)
+			}
+			if i > 0 {
+				a := path[i-1]
+				if absInt(a%cols-b%cols)+absInt(a/cols-b/cols) != 1 {
+					return fmt.Errorf("route: wire %d path steps from bin %d to non-adjacent bin %d", wi, a, b)
+				}
+			}
+		}
+		want := float64(len(path)-1) * theta
+		if src == dst {
+			want = sameBinLength(pl, w, theta)
+		}
+		if lengths[wi] != want {
+			return fmt.Errorf("route: wire %d length %g µm, its path routes %g µm", wi, lengths[wi], want)
+		}
+	}
+	return nil
 }
