@@ -18,7 +18,8 @@ import (
 // costs another compile of the same shape) and the quality reference (the
 // documented contract is that a delta tracks the quality of its base, not
 // of a hypothetical from-scratch recompile). The stage reports the
-// wall-time ratio plus the reuse fractions of every pipeline layer
+// wall-time ratio, the base compile's time per pipeline stage, and the
+// reuse fractions of every pipeline layer
 // (clustering, placement, routing), and fails unless the delta is ≥10x
 // faster at comparable quality — the speedup claim is gated, not assumed.
 func deltaStage(ctx context.Context, quick bool, seed int64, workers int, ob autoncs.Observer, rec *reporter) error {
@@ -71,6 +72,12 @@ func deltaStage(ctx context.Context, quick bool, seed int64, workers int, ob aut
 		100*stats.ClusterReuseFrac, stats.KeptCrossbars, stats.BaseCrossbars, stats.ResidualConns,
 		100*stats.PlaceReuseFrac, stats.SeededCells, stats.Cells,
 		100*stats.RouteReuseFrac, stats.ReusedWires, stats.Wires)
+	fmt.Print("full (base) stages:")
+	for _, s := range autoncs.Stages() {
+		fmt.Printf(" %s %v", s, base.StageTimes[s].Round(time.Millisecond))
+		rec.metric("base_"+string(s)+"_seconds", base.StageTimes[s].Seconds())
+	}
+	fmt.Println()
 	speedup := float64(baseWall) / float64(deltaWall)
 	fmt.Printf("delta speedup: %.1fx over a full recompile\n", speedup)
 

@@ -72,6 +72,10 @@ type BenchReport struct {
 type reporter struct {
 	rep   BenchReport
 	stage *StageStats
+	// start and before open the running stage's clock and allocation
+	// counters; restartClock moves them past the stage's set-up.
+	start  time.Time
+	before runtime.MemStats
 }
 
 func newReporter(seed int64, workers int, quick, large bool) *reporter {
@@ -114,20 +118,29 @@ func (r *reporter) run(name string, f func() error) error {
 	if r == nil {
 		return f()
 	}
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
 	r.stage = &StageStats{Name: name}
-	start := time.Now()
+	r.restartClock()
 	err := f()
-	wall := time.Since(start)
+	wall := time.Since(r.start)
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	r.stage.WallSeconds = wall.Seconds()
-	r.stage.Allocs = after.Mallocs - before.Mallocs
-	r.stage.AllocBytes = after.TotalAlloc - before.TotalAlloc
+	r.stage.Allocs = after.Mallocs - r.before.Mallocs
+	r.stage.AllocBytes = after.TotalAlloc - r.before.TotalAlloc
 	r.rep.Stages = append(r.rep.Stages, *r.stage)
 	r.stage = nil
 	return err
+}
+
+// restartClock restarts the running stage's wall clock and allocation
+// counters, so a stage that must first build its input reports the timed
+// kernel alone.
+func (r *reporter) restartClock() {
+	if r == nil {
+		return
+	}
+	runtime.ReadMemStats(&r.before)
+	r.start = time.Now()
 }
 
 // stageTimes attaches a compile's per-stage wall-time breakdown to the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestReportAttribution: every bench report records the runtime facts a
@@ -43,5 +44,30 @@ func TestReportAttribution(t *testing.T) {
 		}
 	} else if decoded["git_commit"] != commit {
 		t.Errorf("git_commit %v, want %q", decoded["git_commit"], commit)
+	}
+}
+
+// TestReporterRestartClock: a stage that restarts its clock after building
+// its input reports only the work after the restart.
+func TestReporterRestartClock(t *testing.T) {
+	r := newReporter(1, 1, true, false)
+	const setup = 100 * time.Millisecond
+	var keep [][]byte
+	if err := r.run("timed", func() error {
+		time.Sleep(setup)
+		for i := 0; i < 1000; i++ {
+			keep = append(keep, make([]byte, 64))
+		}
+		r.restartClock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := r.rep.Stages[0]
+	if st.WallSeconds >= setup.Seconds() {
+		t.Errorf("wall %.3fs includes the %v set-up before restartClock", st.WallSeconds, setup)
+	}
+	if st.Allocs >= 1000 {
+		t.Errorf("%d allocations counted, want only those after restartClock", st.Allocs)
 	}
 }

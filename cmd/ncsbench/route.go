@@ -43,6 +43,9 @@ func routeStage(ctx context.Context, n int, seed int64, workers int, rec *report
 
 	opts := route.DefaultOptions()
 	opts.Workers = workers
+	// The stage row times the route alone, not the clustering and
+	// placement that build its input.
+	rec.restartClock()
 	start := time.Now()
 	res, err := route.RouteCtx(ctx, nl, pl, opts)
 	if err != nil {

@@ -51,7 +51,7 @@ func CanonicalHash(net *Network, cfg Config) ([32]byte, error) {
 		return key, err
 	}
 	h := sha256.New()
-	io.WriteString(h, "autoncs-cache-key/v5\n")
+	io.WriteString(h, "autoncs-cache-key/v6\n")
 	h.Write(net.AppendBinary(nil))
 	writeConfigVector(h, cfg)
 	h.Sum(key[:0])

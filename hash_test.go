@@ -2,6 +2,7 @@ package autoncs_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro"
@@ -127,6 +128,50 @@ func TestCanonicalHashDistinguishes(t *testing.T) {
 			t.Errorf("padding a network with an isolated neuron did not change the hash")
 		}
 	})
+}
+
+// TestCanonicalHashCoversOptionFields perturbs every exported field of the
+// placement, routing, device and cost parameters in turn: each must change
+// the key, except the Workers and Observer knobs the determinism contract
+// proves irrelevant. A field added to one of these structs that changes
+// results but is never hashed would let the cache serve a stale compile.
+func TestCanonicalHashCoversOptionFields(t *testing.T) {
+	net := autoncs.RandomSparseNetwork(80, 0.9, 7)
+	base := autoncs.DefaultConfig()
+	want := hashOf(t, net, base)
+	groups := []struct {
+		name  string
+		field func(*autoncs.Config) reflect.Value
+	}{
+		{"Place", func(c *autoncs.Config) reflect.Value { return reflect.ValueOf(&c.Place).Elem() }},
+		{"Route", func(c *autoncs.Config) reflect.Value { return reflect.ValueOf(&c.Route).Elem() }},
+		{"Device", func(c *autoncs.Config) reflect.Value { return reflect.ValueOf(&c.Device).Elem() }},
+		{"Cost", func(c *autoncs.Config) reflect.Value { return reflect.ValueOf(&c.Cost).Elem() }},
+	}
+	for _, g := range groups {
+		typ := g.field(&base).Type()
+		for k := 0; k < typ.NumField(); k++ {
+			f := typ.Field(k)
+			if !f.IsExported() || f.Name == "Workers" || f.Name == "Observer" {
+				continue
+			}
+			t.Run(g.name+"."+f.Name, func(t *testing.T) {
+				cfg := base
+				v := g.field(&cfg).Field(k)
+				switch v.Kind() {
+				case reflect.Float64:
+					v.SetFloat(1.5*v.Float() + 0.5)
+				case reflect.Int:
+					v.SetInt(v.Int() + 1)
+				default:
+					t.Fatalf("no perturbation for a %s field", v.Kind())
+				}
+				if hashOf(t, net, cfg) == want {
+					t.Errorf("changing %s.%s did not change the hash", g.name, f.Name)
+				}
+			})
+		}
+	}
 }
 
 // TestCanonicalHashValidates: an input Compile would reject never gets a

@@ -133,7 +133,7 @@ type PlaceStats struct {
 	SwapCandidates int           // detailed-placement pairs evaluated
 	SwapsAccepted  int           // detailed-placement swaps taken
 	FieldTime      time.Duration // wall time inside the field solver
-	DetailTime     time.Duration // wall time in legalization + detailed placement
+	DetailTime     time.Duration // wall time in legalization, refinement and swaps
 }
 
 // RouteBatch records one committed batch of the speculative maze router.

@@ -94,39 +94,16 @@ func PlaceDeltaCtx(ctx context.Context, nl *netlist.Netlist, opts Options, warm 
 			order = append(order, i)
 		}
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if p.pw[a]*p.ph[a] < p.pw[b]*p.ph[b] ||
-				(p.pw[a]*p.ph[a] == p.pw[b]*p.ph[b] && a > b) {
-				order[j-1], order[j] = order[j], order[j-1]
-			} else {
-				break
-			}
-		}
-	}
+	p.sortByAreaDesc(order)
 	placed := make([]bool, n)
+	ix := p.newOverlapIndex()
 	for i, s := range warm.Seeded {
-		placed[i] = s
+		if s {
+			placed[i] = true
+			ix.add(i)
+		}
 	}
 	step := p.meanStep() / 2
-	const clearance = 1e-6
-	overlapsPlaced := func(i int, x, y float64) bool {
-		for j := 0; j < n; j++ {
-			if !placed[j] || j == i {
-				continue
-			}
-			ox := overlap1D(x, p.pw[i], p.pos[j], p.pw[j])
-			if ox <= clearance {
-				continue
-			}
-			oy := overlap1D(y, p.ph[i], p.pos[p.n+j], p.ph[j])
-			if oy > clearance {
-				return true
-			}
-		}
-		return false
-	}
 	for _, i := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("place: cancelled inserting cell %d: %w", i, err)
@@ -151,30 +128,18 @@ func PlaceDeltaCtx(ctx context.Context, nl *netlist.Netlist, opts Options, warm 
 		if tw > 0 {
 			x, y = tx/tw, ty/tw
 		}
-		if overlapsPlaced(i, x, y) {
-			found := false
-			for ring := 1; ring <= 1024 && !found; ring++ {
-				r := float64(ring) * step
-				steps := 12 * ring
-				for s := 0; s < steps; s++ {
-					ang := 2 * math.Pi * float64(s) / float64(steps)
-					nx := x + r*math.Cos(ang)
-					ny := y + r*math.Sin(ang)
-					if !overlapsPlaced(i, nx, ny) {
-						x, y = nx, ny
-						found = true
-						break
-					}
-				}
-			}
-			if !found {
+		if ix.overlaps(i, x, y) {
+			if nx, ny, ok := ix.spiral(i, x, y, step); ok {
+				x, y = nx, ny
+			} else {
 				x = p.pos[i] + 1200*step
 			}
 		}
 		p.pos[i], p.pos[p.n+i] = x, y
 		placed[i] = true
+		ix.add(i)
 	}
-	p.refineSubset(warm.Seeded)
+	p.refine(warm.Seeded, ix)
 	obs.Emit(opts.Observer, obs.PlaceStats{})
 	r := p.result()
 	r.InitialHPWL, r.GlobalHPWL = initialHPWL, initialHPWL
@@ -185,63 +150,4 @@ func PlaceDeltaCtx(ctx context.Context, nl *netlist.Netlist, opts Options, warm 
 	r.MaxX = math.Max(r.MaxX, warm.MaxX)
 	r.MaxY = math.Max(r.MaxY, warm.MaxY)
 	return r, nil
-}
-
-// refineSubset is the post-legalization refinement pass restricted to the
-// non-frozen cells: the same weighted-centroid targets, fractional steps,
-// and overlap guards as refine, but a frozen cell never moves.
-func (p *problem) refineSubset(frozen []bool) {
-	if len(p.nl.Wires) == 0 {
-		return
-	}
-	cellWL := func(i int, x, y float64) float64 {
-		total := 0.0
-		for _, wi := range p.incWire[p.incStart[i]:p.incStart[i+1]] {
-			w := p.nl.Wires[wi]
-			o := w.To
-			if o == i {
-				o = w.From
-			}
-			total += w.Weight * (math.Abs(x-p.pos[o]) + math.Abs(y-p.pos[p.n+o]))
-		}
-		return total
-	}
-	for sweep := 0; sweep < refineSweeps; sweep++ {
-		moved := false
-		for i := 0; i < p.n; i++ {
-			if frozen[i] || p.incStart[i] == p.incStart[i+1] {
-				continue
-			}
-			tx, ty, tw := 0.0, 0.0, 0.0
-			for _, wi := range p.incWire[p.incStart[i]:p.incStart[i+1]] {
-				w := p.nl.Wires[wi]
-				o := w.To
-				if o == i {
-					o = w.From
-				}
-				tx += w.Weight * p.pos[o]
-				ty += w.Weight * p.pos[p.n+o]
-				tw += w.Weight
-			}
-			tx /= tw
-			ty /= tw
-			curWL := cellWL(i, p.pos[i], p.pos[p.n+i])
-			for _, f := range []float64{0, 0.25, 0.5, 0.75} {
-				cx := tx + f*(p.pos[i]-tx)
-				cy := ty + f*(p.pos[p.n+i]-ty)
-				if cellWL(i, cx, cy) >= curWL-1e-9 {
-					continue
-				}
-				if p.overlapsAnyAt(i, cx, cy) {
-					continue
-				}
-				p.pos[i], p.pos[p.n+i] = cx, cy
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			break
-		}
-	}
 }

@@ -10,12 +10,12 @@ import (
 // swapSweeps bounds the swap-based detailed placement passes.
 const swapSweeps = 8
 
-// DefaultSwapRadius is the candidate radius used when Options.SwapRadius
-// is zero: swap partners for a cell are the same-footprint cells within 8
-// footprints of it. Measured on the clustered experiment netlists this
-// recovers the all-pairs sweep's wirelength to well under a percent while
-// keeping the pass near-linear.
-const DefaultSwapRadius = 8.0
+// swapRadius bounds the detailed-placement candidate search: swap partners
+// for a cell are the same-footprint cells within 8 footprints (the
+// footprint's larger side) of it. Measured on the clustered experiment
+// netlists this recovers the all-pairs sweep's wirelength to well under a
+// percent while keeping the pass near-linear.
+const swapRadius = 8.0
 
 // swapRefine is the swap-based detailed placement pass: exchanging the
 // positions of two same-footprint cells (neurons with neurons, synapses
@@ -26,7 +26,7 @@ const DefaultSwapRadius = 8.0
 //
 // The old pass compared all pairs within a footprint class — O(k²·deg)
 // per sweep. This one is near-linear: candidates come from a spatial
-// bucket grid (cells within SwapRadius footprints, enumerated in
+// bucket grid (cells within swapRadius footprints, enumerated in
 // deterministic sorted-bucket order), and each cell's incident wirelength
 // is cached (cellWL) with incremental delta updates on accepted swaps, so
 // evaluating a pair costs O(deg(a)+deg(b)) instead of re-walking both
@@ -36,10 +36,6 @@ const DefaultSwapRadius = 8.0
 func (p *problem) swapRefine() error {
 	if len(p.nl.Wires) == 0 {
 		return nil
-	}
-	radius := p.opts.SwapRadius
-	if radius == 0 {
-		radius = DefaultSwapRadius
 	}
 	// Group swappable cells by footprint class, in deterministic order.
 	classes := map[[2]float64][]int{}
@@ -71,7 +67,7 @@ func (p *problem) swapRefine() error {
 			if len(members) < 2 {
 				continue
 			}
-			if p.classSweep(key, members, radius) {
+			if p.classSweep(key, members) {
 				improved = true
 			}
 		}
@@ -103,14 +99,14 @@ func (p *problem) rebuildCellWL() {
 
 // classSweep runs one bucketed candidate sweep over a footprint class and
 // reports whether any swap was accepted. Buckets are sized
-// radius × max(W, H); a cell pairs with classmates in its own bucket and
+// swapRadius × max(W, H); a cell pairs with classmates in its own bucket and
 // the four forward-neighbor buckets, so every unordered pair within the
 // radius is tried exactly once per sweep, in deterministic sorted order.
 // Accepted swaps exchange two positions of the same footprint, so the
 // class's position multiset — and thus the bucket geometry — stays valid
 // for the rest of the sweep.
-func (p *problem) classSweep(key [2]float64, members []int, radius float64) bool {
-	ext := radius * math.Max(key[0], key[1])
+func (p *problem) classSweep(key [2]float64, members []int) bool {
+	ext := swapRadius * math.Max(key[0], key[1])
 	if ext <= 0 || math.IsInf(ext, 0) {
 		return false
 	}

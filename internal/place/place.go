@@ -49,12 +49,6 @@ type Options struct {
 	MaxOuter int
 	// CGIterations bounds the conjugate-gradient steps per λ round.
 	CGIterations int
-	// SwapRadius bounds the detailed-placement candidate search: swap
-	// partners for a cell are the same-footprint cells within SwapRadius
-	// times the footprint's larger side. Zero means DefaultSwapRadius;
-	// negative is invalid. Larger radii approach the old all-pairs sweep at
-	// quadratic cost, smaller ones keep the pass near-linear.
-	SwapRadius float64
 	// Workers bounds the goroutines running the placement kernels (field
 	// relaxation, gradient evaluation, bin and overlap accumulation). Zero
 	// means the parallel package default; negative is invalid. The placed
@@ -78,7 +72,6 @@ func DefaultOptions() Options {
 		OverlapThreshold: 0.01,
 		MaxOuter:         18,
 		CGIterations:     120,
-		SwapRadius:       DefaultSwapRadius,
 	}
 }
 
@@ -98,16 +91,15 @@ func (o Options) validate() error {
 	if o.MaxOuter <= 0 || o.CGIterations <= 0 {
 		return fmt.Errorf("place: iteration limits must be positive")
 	}
-	if o.SwapRadius < 0 || math.IsNaN(o.SwapRadius) {
-		return fmt.Errorf("place: swap radius %g must be ≥ 0", o.SwapRadius)
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("place: workers %d must be ≥ 0", o.Workers)
 	}
 	return nil
 }
 
-// Result is a legalized placement.
+// Result is a legalized placement. Detailed placement, which
+// obs.PlaceStats.DetailTime times, covers legalization, refinement and the
+// swap pass.
 type Result struct {
 	// X, Y are the cell center coordinates, indexed by cell ID.
 	X, Y []float64
@@ -129,8 +121,8 @@ type Result struct {
 	// over every multigrid level. All three are deterministic for any
 	// worker count.
 	FieldSolves, VCycles, FieldSweeps int
-	// SwapCandidates and SwapsAccepted count the detailed-placement pairs
-	// evaluated and the position swaps taken.
+	// SwapCandidates and SwapsAccepted count the swap pass's pairs
+	// evaluated and position swaps taken.
 	SwapCandidates, SwapsAccepted int
 }
 
@@ -147,6 +139,15 @@ func (r *Result) Area() float64 { return r.Width() * r.Height() }
 func Place(nl *netlist.Netlist, opts Options) (*Result, error) {
 	return PlaceCtx(context.Background(), nl, opts)
 }
+
+// stallRounds ends the λ loop, beside the overlap stop, once the snapshot
+// it will restore has gone this many λ rounds (stallRounds·CGIterations
+// steps) without improving. λ only grows, so past the sweet spot the
+// spreading keeps trading wirelength for overlap and every later snapshot
+// is discarded. On the benchmark's designs the kept snapshot came from the
+// first 260 steps and no two improvements were more than 160 steps apart,
+// so the stop leaves those placements bit-identical.
+const stallRounds = 3
 
 // PlaceCtx is Place under a context: cancellation is checked at every
 // overlap checkpoint of the λ loop and once more before legalization, so a
@@ -175,9 +176,10 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (*Result, 
 		// connectivity structure); λ then grows geometrically — doubling
 		// every CGIterations steps, the within-round/doubling structure of
 		// the paper's Algorithm 4 — until the physical overlap falls under
-		// the threshold. The spreading field is re-solved every iteration
-		// and steps are movement-capped, which keeps the nonconvex descent
-		// stable (see minimize).
+		// the threshold or the best snapshot stalls for stallRounds rounds.
+		// The spreading field is re-solved every iteration and steps are
+		// movement-capped, which keeps the nonconvex descent stable (see
+		// step).
 		if err := p.solveField(p.pos); err != nil {
 			return nil, fmt.Errorf("place: cancelled in λ round 0: %w", err)
 		}
@@ -196,6 +198,7 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (*Result, 
 		best := append([]float64(nil), p.pos...)
 		bestProxy := math.Inf(1)
 		bestHPWL, bestOverlap := 0.0, 0.0
+		bestIter := 0
 		for iter := 0; iter < budget; iter++ {
 			// The λ this step runs under; the checkpoint below reports it
 			// (the growth update happens after, for the next step).
@@ -221,6 +224,7 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (*Result, 
 				if proxy < bestProxy {
 					bestProxy = proxy
 					bestHPWL, bestOverlap = hpwl, ov
+					bestIter = iter
 					copy(best, p.pos)
 				}
 				obs.Emit(opts.Observer, obs.PlaceProgress{
@@ -232,7 +236,8 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (*Result, 
 					BestHPWL:    bestHPWL,
 					BestOverlap: bestOverlap,
 				})
-				if ov <= opts.OverlapThreshold*p.totalArea {
+				if ov <= opts.OverlapThreshold*p.totalArea ||
+					iter-bestIter >= stallRounds*opts.CGIterations {
 					break
 				}
 			}
@@ -1079,61 +1084,22 @@ func (p *problem) legalize() {
 	for i := range order {
 		order[i] = i
 	}
-	// Descending area, stable on index for determinism.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if p.pw[a]*p.ph[a] < p.pw[b]*p.ph[b] ||
-				(p.pw[a]*p.ph[a] == p.pw[b]*p.ph[b] && a > b) {
-				order[j-1], order[j] = order[j], order[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	placed := make([]int, 0, p.n)
-	// A small clearance keeps legalized cells from abutting exactly.
-	const clearance = 1e-6
-	overlapsAny := func(i int, x, y float64) bool {
-		for _, j := range placed {
-			ox := overlap1D(x, p.pw[i], p.pos[j], p.pw[j])
-			oy := overlap1D(y, p.ph[i], p.pos[p.n+j], p.ph[j])
-			if ox > clearance && oy > clearance {
-				return true
-			}
-		}
-		return false
-	}
+	p.sortByAreaDesc(order)
+	ix := p.newOverlapIndex()
 	step := p.meanStep() / 2
 	for _, i := range order {
 		x, y := p.pos[i], p.pos[p.n+i]
-		if !overlapsAny(i, x, y) {
-			placed = append(placed, i)
-			continue
-		}
-		found := false
-		for ring := 1; ring <= 1024 && !found; ring++ {
-			r := float64(ring) * step
-			// Candidate positions on the ring, 12 per unit of perimeter.
-			steps := 12 * ring
-			for s := 0; s < steps; s++ {
-				ang := 2 * math.Pi * float64(s) / float64(steps)
-				cx := x + r*math.Cos(ang)
-				cy := y + r*math.Sin(ang)
-				if !overlapsAny(i, cx, cy) {
-					p.pos[i], p.pos[p.n+i] = cx, cy
-					found = true
-					break
-				}
+		if ix.overlaps(i, x, y) {
+			if nx, ny, ok := ix.spiral(i, x, y, step); ok {
+				p.pos[i], p.pos[p.n+i] = nx, ny
+			} else {
+				// Fall back to a far-away slot; practically unreachable.
+				p.pos[i] = x + 1200*step
 			}
 		}
-		if !found {
-			// Fall back to a far-away slot; practically unreachable.
-			p.pos[i] = x + 1200*step
-		}
-		placed = append(placed, i)
+		ix.add(i)
 	}
-	p.refine()
+	p.refine(nil, ix)
 	// Normalize to the origin.
 	minX, minY := math.Inf(1), math.Inf(1)
 	for i := 0; i < p.n; i++ {
@@ -1146,27 +1112,32 @@ func (p *problem) legalize() {
 	}
 }
 
+// sortByAreaDesc orders cells by descending physical area, ties by
+// ascending index — the legalizer's insertion schedule.
+func (p *problem) sortByAreaDesc(cells []int) {
+	sort.Slice(cells, func(a, b int) bool {
+		i, j := cells[a], cells[b]
+		ai, aj := p.pw[i]*p.ph[i], p.pw[j]*p.ph[j]
+		return ai > aj || (ai == aj && i < j)
+	})
+}
+
 // refineSweeps is the number of greedy post-legalization passes.
 const refineSweeps = 12
 
-// refine claws back wirelength lost to legalization: for each cell (in ID
-// order, several sweeps) it computes the weighted median of its wire
-// partners and tries positions stepping from that target back toward the
-// current location, taking the first overlap-free one that improves the
-// cell's incident wirelength.
-func (p *problem) refine() {
+// refine claws back wirelength lost to legalization: for each cell not
+// frozen (nil freezes none; in ID order, several sweeps) it computes the
+// weighted centroid of its wire partners and tries positions stepping from
+// that target back toward the current location, taking the first
+// overlap-free one that improves the cell's incident wirelength. ix must
+// index every cell at its current position; moves keep it current.
+func (p *problem) refine(frozen []bool, ix *overlapIndex) {
 	if len(p.nl.Wires) == 0 {
 		return
 	}
-	// Incident wires per cell.
-	incident := make([][]int, p.n)
-	for wi, w := range p.nl.Wires {
-		incident[w.From] = append(incident[w.From], wi)
-		incident[w.To] = append(incident[w.To], wi)
-	}
 	cellWL := func(i int, x, y float64) float64 {
 		total := 0.0
-		for _, wi := range incident[i] {
+		for _, wi := range p.incWire[p.incStart[i]:p.incStart[i+1]] {
 			w := p.nl.Wires[wi]
 			o := w.To
 			if o == i {
@@ -1179,12 +1150,12 @@ func (p *problem) refine() {
 	for sweep := 0; sweep < refineSweeps; sweep++ {
 		moved := false
 		for i := 0; i < p.n; i++ {
-			if len(incident[i]) == 0 {
+			if (frozen != nil && frozen[i]) || p.incStart[i] == p.incStart[i+1] {
 				continue
 			}
 			// Weighted centroid of partners as the target.
 			tx, ty, tw := 0.0, 0.0, 0.0
-			for _, wi := range incident[i] {
+			for _, wi := range p.incWire[p.incStart[i]:p.incStart[i+1]] {
 				w := p.nl.Wires[wi]
 				o := w.To
 				if o == i {
@@ -1204,10 +1175,11 @@ func (p *problem) refine() {
 				if cellWL(i, cx, cy) >= curWL-1e-9 {
 					continue
 				}
-				if p.overlapsAnyAt(i, cx, cy) {
+				if ix.overlaps(i, cx, cy) {
 					continue
 				}
 				p.pos[i], p.pos[p.n+i] = cx, cy
+				ix.move(i)
 				moved = true
 				break
 			}
@@ -1218,23 +1190,103 @@ func (p *problem) refine() {
 	}
 }
 
-// overlapsAnyAt reports whether cell i at (x, y) would physically overlap
-// any other cell (spatial-hash accelerated).
-func (p *problem) overlapsAnyAt(i int, x, y float64) bool {
-	for j := 0; j < p.n; j++ {
+// legalClearance is the per-axis overlap two legalized cells may share: a
+// small tolerance that keeps abutting cells from counting as overlapping.
+const legalClearance = 1e-6
+
+// overlapIndex answers the legalizer's question — would cell i centred at
+// (x, y) overlap an indexed cell by more than legalClearance on both axes?
+// — without scanning every cell. Cells are bucketed by their centres on a
+// square grid whose side is the largest physical extent. Two cells that
+// overlap on an axis have centres closer than half their summed extents,
+// hence closer than one side, so every cell a query can hit lies in the
+// query's bucket or one of its eight neighbours. The answer is the same
+// whatever order the buckets are visited in, so the index changes no
+// placement; TestPlaceOverlapIndexMatchesScan pins it to the linear scan.
+type overlapIndex struct {
+	p       *problem
+	side    float64
+	buckets map[uint64][]int
+	key     []uint64 // bucket key of each indexed cell
+}
+
+// newOverlapIndex returns an empty index over p's cells.
+func (p *problem) newOverlapIndex() *overlapIndex {
+	side := p.maxPExt
+	if side <= 0 {
+		side = 1 // all cells are zero-sized: any side works
+	}
+	return &overlapIndex{p: p, side: side, buckets: map[uint64][]int{}, key: make([]uint64, p.n)}
+}
+
+// bucket returns the grid coordinates of the bucket holding point (x, y).
+func (ix *overlapIndex) bucket(x, y float64) (bx, by int) {
+	return int(math.Floor(x / ix.side)), int(math.Floor(y / ix.side))
+}
+
+// add indexes cell i at its current position.
+func (ix *overlapIndex) add(i int) {
+	k := bucketKey(ix.bucket(ix.p.pos[i], ix.p.pos[ix.p.n+i]))
+	ix.key[i] = k
+	ix.buckets[k] = append(ix.buckets[k], i)
+}
+
+// move re-indexes the already indexed cell i at its current position.
+func (ix *overlapIndex) move(i int) {
+	k := bucketKey(ix.bucket(ix.p.pos[i], ix.p.pos[ix.p.n+i]))
+	old := ix.key[i]
+	if k == old {
+		return
+	}
+	b := ix.buckets[old]
+	for s, j := range b {
 		if j == i {
-			continue
+			b[s] = b[len(b)-1]
+			ix.buckets[old] = b[:len(b)-1]
+			break
 		}
-		ox := overlap1D(x, p.pw[i], p.pos[j], p.pw[j])
-		if ox <= 1e-6 {
-			continue
-		}
-		oy := overlap1D(y, p.ph[i], p.pos[p.n+j], p.ph[j])
-		if oy > 1e-6 {
-			return true
+	}
+	ix.key[i] = k
+	ix.buckets[k] = append(ix.buckets[k], i)
+}
+
+// neighbourOffsets lists a bucket and its eight neighbours, its own first:
+// a candidate that overlaps anything most likely overlaps a cell there.
+var neighbourOffsets = [9][2]int{{0, 0}, {-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}}
+
+// overlaps reports whether cell i centred at (x, y) would overlap an
+// indexed cell other than itself by more than legalClearance on both axes.
+func (ix *overlapIndex) overlaps(i int, x, y float64) bool {
+	p := ix.p
+	bx, by := ix.bucket(x, y)
+	for _, off := range neighbourOffsets {
+		for _, j := range ix.buckets[bucketKey(bx+off[0], by+off[1])] {
+			if j != i && overlap1D(x, p.pw[i], p.pos[j], p.pw[j]) > legalClearance &&
+				overlap1D(y, p.ph[i], p.pos[p.n+j], p.ph[j]) > legalClearance {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// spiral returns the first position around (x, y) where cell i overlaps no
+// indexed cell, trying rings of radius ring·step with 12·ring evenly spaced
+// candidates each, up to 1024 rings; ok is false when every candidate is
+// taken.
+func (ix *overlapIndex) spiral(i int, x, y, step float64) (nx, ny float64, ok bool) {
+	for ring := 1; ring <= 1024; ring++ {
+		r := float64(ring) * step
+		steps := 12 * ring
+		for s := 0; s < steps; s++ {
+			ang := 2 * math.Pi * float64(s) / float64(steps)
+			nx, ny = x+r*math.Cos(ang), y+r*math.Sin(ang)
+			if !ix.overlaps(i, nx, ny) {
+				return nx, ny, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // meanStep is the legalizer's spiral step: half the mean physical extent.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/xbar"
 )
 
@@ -385,6 +386,143 @@ func TestLegalizeDeterministic(t *testing.T) {
 	for i := range a.X {
 		if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] {
 			t.Fatal("placement not deterministic")
+		}
+	}
+}
+
+// TestPlaceStallStop pins the λ loop's stall stop: at default options the
+// loop ends exactly stallRounds·CGIterations steps after the last
+// checkpoint that improved the kept snapshot, inside the MaxOuter budget.
+func TestPlaceStallStop(t *testing.T) {
+	nl := clusteredNetlist(t)
+	rec := &recordingObserver{}
+	opts := DefaultOptions()
+	opts.Observer = rec
+	r, err := Place(nl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last obs.PlaceProgress
+	bestStep := 0
+	bestHPWL, bestOverlap := 0.0, 0.0
+	for _, e := range rec.events {
+		ev, ok := e.(obs.PlaceProgress)
+		if !ok {
+			continue
+		}
+		if ev.BestHPWL != bestHPWL || ev.BestOverlap != bestOverlap {
+			bestHPWL, bestOverlap, bestStep = ev.BestHPWL, ev.BestOverlap, ev.Step
+		}
+		last = ev
+	}
+	if got, want := last.Step-bestStep, stallRounds*opts.CGIterations; got != want {
+		t.Fatalf("last checkpoint at step %d, %d steps after the last improvement at step %d; want %d",
+			last.Step, got, bestStep, want)
+	}
+	if r.Outer >= opts.MaxOuter {
+		t.Fatalf("ran %d of %d λ rounds; the stall stop never fired", r.Outer, opts.MaxOuter)
+	}
+}
+
+// scanOverlaps is the linear scan the overlap index replaced, kept as its
+// reference: does cell i at (x, y) overlap any cell j ≠ i with in[j] by
+// more than the 1e-6 clearance on both axes?
+func scanOverlaps(p *problem, in []bool, i int, x, y float64) bool {
+	const clearance = 1e-6
+	for j := 0; j < p.n; j++ {
+		if !in[j] || j == i {
+			continue
+		}
+		if overlap1D(x, p.pw[i], p.pos[j], p.pw[j]) > clearance &&
+			overlap1D(y, p.ph[i], p.pos[p.n+j], p.ph[j]) > clearance {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPlaceOverlapIndexMatchesScan checks the overlap index against the
+// linear scan on random mixed-size layouts: cells centred on bucket edges,
+// query points abutting an indexed cell within and just beyond the
+// clearance, the legalizer's far-away fallback coordinates, and cells
+// re-indexed after moves.
+func TestPlaceOverlapIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sizes := [][2]float64{{1, 1}, {2.2, 2.2}, {9.76, 9.76}, {4.5, 3}, {0.4, 7}}
+	for layout := 0; layout < 20; layout++ {
+		n := 60 + rng.Intn(200)
+		nl := &netlist.Netlist{}
+		for i := 0; i < n; i++ {
+			s := sizes[rng.Intn(len(sizes))]
+			nl.Cells = append(nl.Cells, netlist.Cell{ID: i, Kind: netlist.KindNeuron, W: s[0], H: s[1]})
+		}
+		p := newProblem(nl, DefaultOptions())
+		side := p.maxPExt
+		step := p.meanStep() / 2
+		extent := 8 * side * (0.5 + rng.Float64())
+		for i := 0; i < n; i++ {
+			x, y := extent*(rng.Float64()-0.5), extent*(rng.Float64()-0.5)
+			switch rng.Intn(6) {
+			case 0: // centre exactly on a bucket edge
+				x = side * math.Round(x/side)
+			case 1: // centre one ulp either side of a bucket edge
+				x = math.Nextafter(side*math.Round(x/side), x)
+				y = math.Nextafter(side*math.Round(y/side), -y)
+			case 2: // the legalizer's far-away fallback slot
+				x += 1200 * step
+			}
+			p.pos[i], p.pos[p.n+i] = x, y
+		}
+		in := make([]bool, n)
+		ix := p.newOverlapIndex()
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) != 0 {
+				in[i] = true
+				ix.add(i)
+			}
+		}
+		hits, misses := 0, 0
+		check := func(i int, x, y float64) {
+			t.Helper()
+			want := scanOverlaps(p, in, i, x, y)
+			if got := ix.overlaps(i, x, y); got != want {
+				t.Fatalf("layout %d: cell %d at (%.17g, %.17g): index says %v, scan %v", layout, i, x, y, got, want)
+			}
+			if want {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		for q := 0; q < 400; q++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			// A random point, and the cell's own position.
+			check(i, extent*(rng.Float64()-0.5), extent*(rng.Float64()-0.5))
+			check(i, p.pos[i], p.pos[p.n+i])
+			// Abutting cell j from the right and from below, overlapping by
+			// just under, exactly and just over the clearance.
+			for _, ov := range []float64{0, 0.5e-6, 1e-6, 1.5e-6, 3e-6, 0.25} {
+				check(i, p.pos[j]+(p.pw[i]+p.pw[j])/2-ov, p.pos[p.n+j])
+				check(i, p.pos[j], p.pos[p.n+j]-(p.ph[i]+p.ph[j])/2+ov)
+			}
+			// The fallback slot of a cell that found no free spiral position.
+			check(i, p.pos[j]+1200*step, p.pos[p.n+j])
+		}
+		// Move indexed cells, some across buckets, and query again.
+		for m := 0; m < n; m++ {
+			i := rng.Intn(n)
+			if !in[i] {
+				continue
+			}
+			p.pos[i] += side * (rng.Float64()*4 - 2)
+			p.pos[p.n+i] += side * (rng.Float64()*4 - 2)
+			ix.move(i)
+			j := rng.Intn(n)
+			check(j, p.pos[i]+(p.pw[i]+p.pw[j])/2-2e-6, p.pos[p.n+i])
+			check(j, p.pos[j], p.pos[p.n+j])
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("layout %d: %d hits and %d misses; the comparison is vacuous", layout, hits, misses)
 		}
 	}
 }
