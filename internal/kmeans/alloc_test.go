@@ -49,7 +49,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	var ws Workspace
 	for trial, seed := range []int64{3, 17, 99} {
 		pts := mk(seed)
-		fresh := RunN(pts, 7, rand.New(rand.NewSource(seed)), 1)
+		fresh := RunWS(nil, pts, 7, rand.New(rand.NewSource(seed)), 1)
 		reused := RunWS(&ws, pts, 7, rand.New(rand.NewSource(seed)), 1)
 		fm, rm := fresh.Members(), reused.Members()
 		if len(fm) != len(rm) {

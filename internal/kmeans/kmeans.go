@@ -5,7 +5,7 @@
 // AutoNCS.
 //
 // The hot Lloyd kernels — nearest-centroid assignment and per-cluster
-// centroid accumulation — run on a bounded worker pool (the *N variants).
+// centroid accumulation — run on a bounded worker pool (the workers argument).
 // Both are arranged so the result is bit-identical for any worker count:
 // assignment is per-point independent, and each cluster's coordinate sum is
 // accumulated by exactly one worker in ascending member order, the same
@@ -91,22 +91,13 @@ func (ws *Workspace) forK(k int) ([]int, [][]int) {
 	return ws.counts, ws.members
 }
 
-// Run clusters the points into k clusters using Lloyd's algorithm with
-// k-means++ seeding from rng. It panics on invalid input (k <= 0, k > n,
-// ragged points). Empty clusters are repaired by reseeding at the point
-// farthest from its assigned centroid, so every returned cluster is
-// non-empty.
-func Run(points [][]float64, k int, rng *rand.Rand) *Result {
-	return RunN(points, k, rng, 1)
-}
-
-// RunN is Run on a bounded worker pool (0 = the parallel package default).
-// The result is bit-identical to Run for every worker count.
-func RunN(points [][]float64, k int, rng *rand.Rand, workers int) *Result {
-	return RunWS(nil, points, k, rng, workers)
-}
-
-// RunWS is RunN drawing all per-run buffers from ws (nil = allocate fresh).
+// RunWS clusters the points into k clusters using Lloyd's algorithm with
+// k-means++ seeding from rng, drawing all per-run buffers from ws (nil =
+// allocate fresh). It panics on invalid input (k <= 0, k > n, ragged
+// points). Empty clusters are repaired by reseeding at the point farthest
+// from its assigned centroid, so every returned cluster is non-empty. The
+// Lloyd kernels run on a bounded worker pool (0 = the parallel package
+// default), and the result is bit-identical for every worker count.
 func RunWS(ws *Workspace, points [][]float64, k int, rng *rand.Rand, workers int) *Result {
 	n := len(points)
 	if k <= 0 {
@@ -128,20 +119,10 @@ func RunWS(ws *Workspace, points [][]float64, k int, rng *rand.Rand, workers int
 	return lloyd(ws, points, centroids, rng, workers)
 }
 
-// RunWithCentroids clusters points starting from the provided centroids
-// (copied, not mutated). Used by GCP, which maintains its own centroid set B
-// across splits. The number of clusters is len(centroids).
-func RunWithCentroids(points [][]float64, centroids [][]float64, rng *rand.Rand) *Result {
-	return RunWithCentroidsN(points, centroids, rng, 1)
-}
-
-// RunWithCentroidsN is RunWithCentroids on a bounded worker pool.
-func RunWithCentroidsN(points [][]float64, centroids [][]float64, rng *rand.Rand, workers int) *Result {
-	return RunWithCentroidsWS(nil, points, centroids, rng, workers)
-}
-
-// RunWithCentroidsWS is RunWithCentroidsN drawing per-run buffers from ws
-// (nil = allocate fresh).
+// RunWithCentroidsWS clusters points starting from the provided centroids
+// (copied, not mutated), drawing per-run buffers from ws (nil = allocate
+// fresh). Used by GCP, which maintains its own centroid set B across
+// splits. The number of clusters is len(centroids).
 func RunWithCentroidsWS(ws *Workspace, points [][]float64, centroids [][]float64, rng *rand.Rand, workers int) *Result {
 	if len(centroids) == 0 {
 		panic("kmeans: no centroids")
@@ -311,21 +292,12 @@ func seedPlusPlus(ws *Workspace, points [][]float64, k int, rng *rand.Rand) [][]
 	return centroids
 }
 
-// Split partitions the given member points into two sub-clusters with
+// SplitWS partitions the given member points into two sub-clusters with
 // 2-means and returns the two member index lists (indices into members) and
-// the two centroids. If all points coincide, the split is by index halves so
-// progress is always made. len(members) must be at least 2.
-func Split(points [][]float64, members []int, rng *rand.Rand) (a, b []int, ca, cb []float64) {
-	return SplitN(points, members, rng, 1)
-}
-
-// SplitN is Split on a bounded worker pool.
-func SplitN(points [][]float64, members []int, rng *rand.Rand, workers int) (a, b []int, ca, cb []float64) {
-	return SplitWS(nil, points, members, rng, workers)
-}
-
-// SplitWS is SplitN drawing per-run buffers from ws (nil = allocate fresh).
-// The returned member lists and centroids are freshly allocated.
+// the two centroids, drawing per-run buffers from ws (nil = allocate fresh).
+// The returned member lists and centroids are freshly allocated. If all
+// points coincide, the split is by index halves so progress is always made.
+// len(members) must be at least 2.
 func SplitWS(ws *Workspace, points [][]float64, members []int, rng *rand.Rand, workers int) (a, b []int, ca, cb []float64) {
 	if len(members) < 2 {
 		panic(fmt.Sprintf("kmeans: cannot split cluster of size %d", len(members)))

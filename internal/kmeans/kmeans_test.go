@@ -23,7 +23,7 @@ func blobs(k, count int, rng *rand.Rand) (points [][]float64, label []int) {
 func TestRunRecoversSeparatedBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	points, label := blobs(4, 30, rng)
-	res := Run(points, 4, rng)
+	res := RunWS(nil, points, 4, rng, 1)
 	// Every true blob must map to exactly one k-means cluster.
 	blobToCluster := map[int]int{}
 	for i, l := range label {
@@ -44,9 +44,9 @@ func TestRunRecoversSeparatedBlobs(t *testing.T) {
 func TestRunInvalidInputsPanic(t *testing.T) {
 	pts := [][]float64{{0}, {1}}
 	for name, f := range map[string]func(){
-		"k=0":    func() { Run(pts, 0, rand.New(rand.NewSource(1))) },
-		"k>n":    func() { Run(pts, 3, rand.New(rand.NewSource(1))) },
-		"ragged": func() { Run([][]float64{{0}, {1, 2}}, 1, rand.New(rand.NewSource(1))) },
+		"k=0":    func() { RunWS(nil, pts, 0, rand.New(rand.NewSource(1)), 1) },
+		"k>n":    func() { RunWS(nil, pts, 3, rand.New(rand.NewSource(1)), 1) },
+		"ragged": func() { RunWS(nil, [][]float64{{0}, {1, 2}}, 1, rand.New(rand.NewSource(1)), 1) },
 	} {
 		func() {
 			defer func() {
@@ -61,7 +61,7 @@ func TestRunInvalidInputsPanic(t *testing.T) {
 
 func TestRunKEqualsN(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 1}, {2, 2}}
-	res := Run(pts, 3, rand.New(rand.NewSource(1)))
+	res := RunWS(nil, pts, 3, rand.New(rand.NewSource(1)), 1)
 	seen := map[int]bool{}
 	for _, c := range res.Assign {
 		seen[c] = true
@@ -76,7 +76,7 @@ func TestRunKEqualsN(t *testing.T) {
 
 func TestRunIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
-	res := Run(pts, 2, rand.New(rand.NewSource(1)))
+	res := RunWS(nil, pts, 2, rand.New(rand.NewSource(1)), 1)
 	if res.K() != 2 {
 		t.Fatalf("K = %d, want 2", res.K())
 	}
@@ -91,7 +91,7 @@ func TestRunIdenticalPoints(t *testing.T) {
 func TestMembersPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	points, _ := blobs(3, 20, rng)
-	res := Run(points, 3, rng)
+	res := RunWS(nil, points, 3, rng, 1)
 	members := res.Members()
 	seen := make([]bool, len(points))
 	for _, ms := range members {
@@ -111,8 +111,8 @@ func TestMembersPartition(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	points, _ := blobs(3, 25, rand.New(rand.NewSource(3)))
-	a := Run(points, 3, rand.New(rand.NewSource(42)))
-	b := Run(points, 3, rand.New(rand.NewSource(42)))
+	a := RunWS(nil, points, 3, rand.New(rand.NewSource(42)), 1)
+	b := RunWS(nil, points, 3, rand.New(rand.NewSource(42)), 1)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same seed produced different clusterings")
@@ -127,7 +127,7 @@ func TestRunWithCentroidsDoesNotMutateInput(t *testing.T) {
 	points, _ := blobs(2, 10, rand.New(rand.NewSource(4)))
 	init := [][]float64{{0, 0}, {20, 20}}
 	initCopy := [][]float64{{0, 0}, {20, 20}}
-	Run0 := RunWithCentroids(points, init, rand.New(rand.NewSource(1)))
+	Run0 := RunWithCentroidsWS(nil, points, init, rand.New(rand.NewSource(1)), 1)
 	if Run0.K() != 2 {
 		t.Fatalf("K = %d", Run0.K())
 	}
@@ -143,9 +143,9 @@ func TestRunWithCentroidsDoesNotMutateInput(t *testing.T) {
 func TestRunWithCentroidsPanics(t *testing.T) {
 	pts := [][]float64{{0}, {1}}
 	for name, f := range map[string]func(){
-		"empty":    func() { RunWithCentroids(pts, nil, rand.New(rand.NewSource(1))) },
-		"too many": func() { RunWithCentroids(pts, [][]float64{{0}, {1}, {2}}, rand.New(rand.NewSource(1))) },
-		"bad dim":  func() { RunWithCentroids(pts, [][]float64{{0, 1}}, rand.New(rand.NewSource(1))) },
+		"empty":    func() { RunWithCentroidsWS(nil, pts, nil, rand.New(rand.NewSource(1)), 1) },
+		"too many": func() { RunWithCentroidsWS(nil, pts, [][]float64{{0}, {1}, {2}}, rand.New(rand.NewSource(1)), 1) },
+		"bad dim":  func() { RunWithCentroidsWS(nil, pts, [][]float64{{0, 1}}, rand.New(rand.NewSource(1)), 1) },
 	} {
 		func() {
 			defer func() {
@@ -171,7 +171,7 @@ func TestSplitSeparatesTwoBlobs(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	a, b, ca, cb := Split(points, members, rng)
+	a, b, ca, cb := SplitWS(nil, points, members, rng, 1)
 	if len(a)+len(b) != 20 || len(a) == 0 || len(b) == 0 {
 		t.Fatalf("split sizes %d + %d", len(a), len(b))
 	}
@@ -194,7 +194,7 @@ func TestSplitSeparatesTwoBlobs(t *testing.T) {
 func TestSplitIdenticalPointsMakesProgress(t *testing.T) {
 	points := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	members := []int{0, 1, 2, 3, 4}
-	a, b, _, _ := Split(points, members, rand.New(rand.NewSource(1)))
+	a, b, _, _ := SplitWS(nil, points, members, rand.New(rand.NewSource(1)), 1)
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatalf("split of identical points gave sizes %d/%d; must both be positive", len(a), len(b))
 	}
@@ -206,7 +206,7 @@ func TestSplitTooSmallPanics(t *testing.T) {
 			t.Fatal("Split of singleton did not panic")
 		}
 	}()
-	Split([][]float64{{0}}, []int{0}, rand.New(rand.NewSource(1)))
+	SplitWS(nil, [][]float64{{0}}, []int{0}, rand.New(rand.NewSource(1)), 1)
 }
 
 // Property: the result is always a partition with k non-empty groups when
@@ -223,7 +223,7 @@ func TestPartitionProperty(t *testing.T) {
 		for i := range points {
 			points[i] = []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10}
 		}
-		res := Run(points, k, rng)
+		res := RunWS(nil, points, k, rng, 1)
 		if len(res.Assign) != n {
 			return false
 		}
@@ -248,8 +248,8 @@ func TestInertiaImprovesOverSingleClusterProperty(t *testing.T) {
 		for i := range points {
 			points[i] = []float64{rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		}
-		one := Run(points, 1, rand.New(rand.NewSource(seed)))
-		three := Run(points, 3, rand.New(rand.NewSource(seed)))
+		one := RunWS(nil, points, 1, rand.New(rand.NewSource(seed)), 1)
+		three := RunWS(nil, points, 3, rand.New(rand.NewSource(seed)), 1)
 		return three.Inertia <= one.Inertia+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -28,7 +28,7 @@ func TestRunWorkerInvariance(t *testing.T) {
 					points[i][j] = rng.NormFloat64()
 				}
 			}
-			return RunN(points, tc.k, rand.New(rand.NewSource(tc.seed+100)), workers)
+			return RunWS(nil, points, tc.k, rand.New(rand.NewSource(tc.seed+100)), workers)
 		}
 		want := run(1)
 		for _, workers := range []int{2, 4, 17} {
@@ -67,9 +67,9 @@ func TestSplitWorkerInvariance(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		members = append(members, i)
 	}
-	a1, b1, _, _ := SplitN(points, members, rand.New(rand.NewSource(9)), 1)
+	a1, b1, _, _ := SplitWS(nil, points, members, rand.New(rand.NewSource(9)), 1)
 	for _, workers := range []int{2, 8} {
-		a, b, _, _ := SplitN(points, members, rand.New(rand.NewSource(9)), workers)
+		a, b, _, _ := SplitWS(nil, points, members, rand.New(rand.NewSource(9)), workers)
 		if !equalInts(a, a1) || !equalInts(b, b1) {
 			t.Fatalf("workers=%d: split differs from serial", workers)
 		}

@@ -21,17 +21,16 @@ func ringOp(t *testing.T, n, workers int) MulVecFunc {
 		col = append(col, a, b)
 		rowPtr[i+1] = int32(len(col))
 	}
-	op, err := NormalizedLaplacianCSRN(n, deg, rowPtr, col, workers)
-	if err != nil {
+	var op CSRLaplacianOp
+	if err := op.Init(n, deg, rowPtr, col, nil, workers); err != nil {
 		t.Fatal(err)
 	}
-	return op
+	return op.Mul
 }
 
-// TestMatvecAllocs pins the sparse matvec's allocation behaviour: the only
-// allocation per product is the bounded worker-dispatch closure, independent
-// of the operator size. The previous implementation allocated a neighbor
-// buffer per row per product.
+// TestMatvecAllocs pins the sparse matvec's allocation behaviour: on one
+// worker a product walks the CSR index slices inline and allocates nothing.
+// An earlier implementation allocated a neighbor buffer per row per product.
 func TestMatvecAllocs(t *testing.T) {
 	op := ringOp(t, 800, 1)
 	dst := make([]float64, 800)
@@ -40,41 +39,31 @@ func TestMatvecAllocs(t *testing.T) {
 		src[i] = float64(i%7) - 3
 	}
 	allocs := testing.AllocsPerRun(20, func() { op(dst, src) })
-	if allocs > 2 {
-		t.Fatalf("matvec allocated %.1f times per product, want ≤ 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("matvec allocated %.1f times per product, want 0", allocs)
 	}
 }
 
-// TestLanczosStepAllocs pins the warm-workspace contract of the Lanczos
-// solver: once the workspace has grown to the problem size, a full solve
-// allocates only its returned values (eigenvalues, Ritz matrix) plus a
-// constant-count residue — never the steps×n basis, which dominated the
-// per-solve allocations before the workspace existed.
+// TestLanczosStepAllocs pins the workspace contract of the Lanczos solver:
+// once the workspace has grown to the problem size, a full solve on one
+// worker — the steps×n basis, the reorthogonalization, the tridiagonal
+// eigensolve, the residual checks of the early stop and the returned Ritz
+// pairs — allocates nothing, with or without the early stop.
 func TestLanczosStepAllocs(t *testing.T) {
 	const n, k = 700, 12
 	op := ringOp(t, n, 1)
-	var ws LanczosWS
-	// Warm run grows every buffer.
-	if _, _, err := LanczosSmallestWS(&ws, op, n, k, rand.New(rand.NewSource(1)), 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, _, err := LanczosSmallestWS(&ws, op, n, k, rand.New(rand.NewSource(1)), 1); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	for _, stopEarly := range []bool{false, true} {
+		var ws LanczosWS
+		allocs := testing.AllocsPerRun(3, func() {
+			rng.Seed(1)
+			if _, _, _, err := LanczosSmallest(&ws, op, n, k, rng, 1, stopEarly); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("stopEarly=%v: Lanczos solve allocated %.1f times on a grown workspace, want 0", stopEarly, allocs)
 		}
-	})
-	// Budget: the returned outputs (d, e, Ritz matrix), the rand.Rand made
-	// here, and a constant number of worker-dispatch closures per Lanczos
-	// step — O(steps) small allocations in total, never the O(steps·n)
-	// per-row buffers of the pre-workspace implementation (≈170k for this
-	// size) and never the steps×n basis itself.
-	steps := 10 * k
-	if m := 4*k + 40; m > steps {
-		steps = m
-	}
-	budget := float64(8*steps + 64)
-	if allocs > budget {
-		t.Fatalf("warm Lanczos solve allocated %.1f times, want ≤ %.0f", allocs, budget)
 	}
 }
 
@@ -83,28 +72,33 @@ func TestLanczosStepAllocs(t *testing.T) {
 func TestLanczosWSMatchesFresh(t *testing.T) {
 	const n, k = 650, 8
 	op := ringOp(t, n, 1)
-	fv, fvecs, err := LanczosSmallestN(op, n, k, rand.New(rand.NewSource(9)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws LanczosWS
-	// Dirty the workspace with a differently-sized solve first.
-	if _, _, err := LanczosSmallestWS(&ws, ringOp(t, 300, 1), 300, 5, rand.New(rand.NewSource(2)), 1); err != nil {
-		t.Fatal(err)
-	}
-	wv, wvecs, err := LanczosSmallestWS(&ws, op, n, k, rand.New(rand.NewSource(9)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fv {
-		if fv[i] != wv[i] {
-			t.Fatalf("value %d: fresh %g reused %g", i, fv[i], wv[i])
+	for _, stopEarly := range []bool{false, true} {
+		var fresh, ws LanczosWS
+		fv, fvecs, fsteps, err := LanczosSmallest(&fresh, op, n, k, rand.New(rand.NewSource(9)), 1, stopEarly)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for r := 0; r < n; r++ {
-		for c := 0; c < k; c++ {
-			if fvecs.At(r, c) != wvecs.At(r, c) {
-				t.Fatalf("vector (%d,%d): fresh %g reused %g", r, c, fvecs.At(r, c), wvecs.At(r, c))
+		// Dirty the workspace with a differently-sized solve first.
+		if _, _, _, err := LanczosSmallest(&ws, ringOp(t, 300, 1), 300, 5, rand.New(rand.NewSource(2)), 1, stopEarly); err != nil {
+			t.Fatal(err)
+		}
+		wv, wvecs, wsteps, err := LanczosSmallest(&ws, op, n, k, rand.New(rand.NewSource(9)), 1, stopEarly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fsteps != wsteps {
+			t.Fatalf("stopEarly=%v: fresh solve took %d steps, reused %d", stopEarly, fsteps, wsteps)
+		}
+		for i := range fv {
+			if fv[i] != wv[i] {
+				t.Fatalf("stopEarly=%v: value %d: fresh %g reused %g", stopEarly, i, fv[i], wv[i])
+			}
+		}
+		for r := 0; r < n; r++ {
+			for c := 0; c < k; c++ {
+				if fvecs.At(r, c) != wvecs.At(r, c) {
+					t.Fatalf("stopEarly=%v: vector (%d,%d): fresh %g reused %g", stopEarly, r, c, fvecs.At(r, c), wvecs.At(r, c))
+				}
 			}
 		}
 	}

@@ -341,7 +341,7 @@ func EigSym(a *Dense) (values []float64, vectors *Dense, err error) {
 	return values, vectors, nil
 }
 
-// GeneralizedSym solves the generalized symmetric eigenproblem
+// GeneralizedSymN solves the generalized symmetric eigenproblem
 // L·u = λ·D·u where L is symmetric and D is diagonal with strictly
 // positive entries (passed as a slice). It returns eigenvalues ascending and
 // the matrix U whose columns are the generalized eigenvectors.
@@ -351,28 +351,24 @@ func EigSym(a *Dense) (values []float64, vectors *Dense, err error) {
 // This is exactly the relationship between the random-walk and symmetric
 // normalized graph Laplacians exploited by spectral clustering.
 //
-// It returns an error if any diagonal entry of D is not strictly positive
-// or if the eigensolver fails to converge.
-func GeneralizedSym(l *Dense, d []float64) (values []float64, u *Dense, err error) {
-	return GeneralizedSymN(l, d, 1)
-}
-
-// GeneralizedSymN is GeneralizedSym with the O(n²) congruence transform and
-// back-substitution run on a bounded worker pool (0 = package default). The
-// row kernels are per-row independent, so the result is bit-identical for
-// any worker count; the O(n³) tridiagonal eigensolve itself is sequential.
+// The O(n²) congruence transform and back-substitution run on a bounded
+// worker pool (0 = package default). The row kernels are per-row
+// independent, so the result is bit-identical for any worker count; the
+// O(n³) tridiagonal eigensolve itself is sequential. It returns an error if
+// any diagonal entry of D is not strictly positive or if the eigensolver
+// fails to converge.
 func GeneralizedSymN(l *Dense, d []float64, workers int) (values []float64, u *Dense, err error) {
 	n := l.Rows()
 	if l.Cols() != n {
-		panic(fmt.Sprintf("matrix: GeneralizedSym of non-square %d×%d matrix", n, l.Cols()))
+		panic(fmt.Sprintf("matrix: GeneralizedSymN of non-square %d×%d matrix", n, l.Cols()))
 	}
 	if len(d) != n {
-		panic(fmt.Sprintf("matrix: GeneralizedSym diagonal length %d, want %d", len(d), n))
+		panic(fmt.Sprintf("matrix: GeneralizedSymN diagonal length %d, want %d", len(d), n))
 	}
 	invSqrt := make([]float64, n)
 	for i, di := range d {
 		if di <= 0 || math.IsNaN(di) || math.IsInf(di, 0) {
-			return nil, nil, fmt.Errorf("matrix: GeneralizedSym requires positive diagonal, d[%d]=%g", i, di)
+			return nil, nil, fmt.Errorf("matrix: GeneralizedSymN requires positive diagonal, d[%d]=%g", i, di)
 		}
 		invSqrt[i] = 1 / math.Sqrt(di)
 	}

@@ -170,45 +170,39 @@ func TestEigBitsPinned(t *testing.T) {
 	}
 }
 
-// TestLanczosBitsPinned pins the Lanczos solvers, whose tridiagonal
+// TestLanczosBitsPinned pins the Lanczos solver, whose tridiagonal
 // projections run through the same dense kernel: the SHA-256 of the Ritz
-// value and vector bits of the fixed-step solver and of the adaptive one,
-// which stops early on this eight-cluster graph, at two worker counts.
+// value and vector bits of the fixed-step solve and of the early-stopping
+// one, which stops early on this eight-cluster graph, at two worker counts.
 func TestLanczosBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("bit pins are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	const n, k = 400, 8
 	l, deg := pinLaplacian(n, 50, 0.3, 0.002, 41)
-	forEach := func(i int, fn func(j int, w float64)) {
-		for j := 0; j < n; j++ {
-			if i != j && l.At(i, j) != 0 {
-				fn(j, -l.At(i, j))
-			}
-		}
-	}
-	mul, err := NormalizedLaplacianOpN(n, deg, forEach, 1)
-	if err != nil {
+	rowPtr, col, wts := laplacianCSR(l)
+	var op CSRLaplacianOp
+	if err := op.Init(n, deg, rowPtr, col, wts, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		vals, vecs, err := LanczosSmallestN(mul, n, k, rand.New(rand.NewSource(5)), workers)
+		var ws LanczosWS
+		vals, vecs, _, err := LanczosSmallest(&ws, op.Mul, n, k, rand.New(rand.NewSource(5)), workers, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := eigDigest(vals, vecs), "17fd3bc0e7d5286f8bcb9384ee36ae4946f5ecc97c3df9f4151f1ed484c26b97"; got != want {
-			t.Errorf("workers=%d: LanczosSmallestN digest %s, pinned %s", workers, got, want)
+			t.Errorf("workers=%d: fixed-step digest %s, pinned %s", workers, got, want)
 		}
-		var ws LanczosWS
-		vals, vecs, steps, err := LanczosSmallestFrom(&ws, mul, n, k, nil, rand.New(rand.NewSource(5)), workers)
+		vals, vecs, steps, err := LanczosSmallest(&ws, op.Mul, n, k, rand.New(rand.NewSource(5)), workers, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if steps != 64 {
-			t.Errorf("workers=%d: adaptive solve took %d steps, pinned 64", workers, steps)
+			t.Errorf("workers=%d: early-stopping solve took %d steps, pinned 64", workers, steps)
 		}
 		if got, want := eigDigest(vals, vecs), "da4dfff388752a9b56535e7b97898ab4a2b3622f4d8cdc8908aed097046ddcfd"; got != want {
-			t.Errorf("workers=%d: LanczosSmallestFrom digest %s, pinned %s", workers, got, want)
+			t.Errorf("workers=%d: early-stopping digest %s, pinned %s", workers, got, want)
 		}
 	}
 }

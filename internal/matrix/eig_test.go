@@ -225,7 +225,7 @@ func TestGeneralizedSym(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Set(i, i, d[i])
 	}
-	vals, u, err := GeneralizedSym(l, d)
+	vals, u, err := GeneralizedSymN(l, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestGeneralizedSym(t *testing.T) {
 
 func TestGeneralizedSymRejectsNonPositiveDiagonal(t *testing.T) {
 	l := Identity(2)
-	if _, _, err := GeneralizedSym(l, []float64{1, 0}); err == nil {
+	if _, _, err := GeneralizedSymN(l, []float64{1, 0}, 1); err == nil {
 		t.Fatal("zero diagonal accepted")
 	}
-	if _, _, err := GeneralizedSym(l, []float64{1, -2}); err == nil {
+	if _, _, err := GeneralizedSymN(l, []float64{1, -2}, 1); err == nil {
 		t.Fatal("negative diagonal accepted")
 	}
 }
@@ -269,7 +269,7 @@ func TestGeneralizedSymIdentityDReducesToStandard(t *testing.T) {
 	for i := range d {
 		d[i] = 1
 	}
-	gv, _, err := GeneralizedSym(a, d)
+	gv, _, err := GeneralizedSymN(a, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,23 @@ func blockLaplacian(n, blockSize int, rng *rand.Rand) *Dense {
 	return l
 }
 
+// laplacianCSR returns the CSR adjacency of a dense Laplacian: row i lists
+// the columns j ≠ i with l_ij ≠ 0 in ascending order, weighted −l_ij.
+func laplacianCSR(l *Dense) (rowPtr, col []int32, w []float64) {
+	n := l.Rows()
+	rowPtr = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && l.At(i, j) != 0 {
+				col = append(col, int32(j))
+				w = append(w, -l.At(i, j))
+			}
+		}
+		rowPtr[i+1] = int32(len(col))
+	}
+	return rowPtr, col, w
+}
+
 func TestLanczosMatchesDenseOnRandomSym(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, k := 120, 6
@@ -59,7 +76,8 @@ func TestLanczosMatchesDenseOnRandomSym(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, vecs, err := LanczosSmallest(denseOp(a), n, k, rng)
+	var ws LanczosWS
+	vals, vecs, _, err := LanczosSmallest(&ws, denseOp(a), n, k, rng, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +113,8 @@ func TestLanczosGraphLaplacianSmallestIsZero(t *testing.T) {
 		l.Set(i, (i+1)%n, -1)
 		l.Set(i, (i+n-1)%n, -1)
 	}
-	vals, vecs, err := LanczosSmallest(denseOp(l), n, 3, rand.New(rand.NewSource(2)))
+	var ws LanczosWS
+	vals, vecs, _, err := LanczosSmallest(&ws, denseOp(l), n, 3, rand.New(rand.NewSource(2)), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +138,8 @@ func TestLanczosInvalidKPanics(t *testing.T) {
 					t.Errorf("k=%d accepted", k)
 				}
 			}()
-			LanczosSmallest(denseOp(a), 4, k, rand.New(rand.NewSource(1)))
+			var ws LanczosWS
+			LanczosSmallest(&ws, denseOp(a), 4, k, rand.New(rand.NewSource(1)), 1, false)
 		}()
 	}
 }
@@ -127,7 +147,8 @@ func TestLanczosInvalidKPanics(t *testing.T) {
 func TestLanczosDegenerateSpectrum(t *testing.T) {
 	// Identity: every eigenvalue is 1. Lanczos terminates after one step
 	// (invariant subspace) and must restart to deliver k pairs.
-	vals, vecs, err := LanczosSmallest(denseOp(Identity(10)), 10, 3, rand.New(rand.NewSource(3)))
+	var ws LanczosWS
+	vals, vecs, _, err := LanczosSmallest(&ws, denseOp(Identity(10)), 10, 3, rand.New(rand.NewSource(3)), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +164,15 @@ func TestLanczosDegenerateSpectrum(t *testing.T) {
 
 func TestNormalizedLaplacianOp(t *testing.T) {
 	// Triangle graph: L_sym has eigenvalues 0, 3/2, 3/2.
-	adj := [][]int{{1, 2}, {0, 2}, {0, 1}}
+	rowPtr := []int32{0, 2, 4, 6}
+	col := []int32{1, 2, 0, 2, 0, 1}
 	deg := []float64{2, 2, 2}
-	op, err := NormalizedLaplacianOp(3, deg, func(i int, fn func(j int, w float64)) {
-		for _, j := range adj[i] {
-			fn(j, 1)
-		}
-	})
-	if err != nil {
+	var op CSRLaplacianOp
+	if err := op.Init(3, deg, rowPtr, col, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := LanczosSmallest(op, 3, 3, rand.New(rand.NewSource(4)))
+	var ws LanczosWS
+	vals, _, _, err := LanczosSmallest(&ws, op.Mul, 3, 3, rand.New(rand.NewSource(4)), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +185,16 @@ func TestNormalizedLaplacianOp(t *testing.T) {
 }
 
 func TestNormalizedLaplacianOpRejectsZeroDegree(t *testing.T) {
-	if _, err := NormalizedLaplacianOp(2, []float64{1, 0}, nil); err == nil {
+	var op CSRLaplacianOp
+	rowPtr, col := []int32{0, 1, 2}, []int32{1, 0}
+	if err := op.Init(2, []float64{1, 0}, rowPtr, col, nil, 1); err == nil {
 		t.Fatal("zero degree accepted")
 	}
-	if _, err := NormalizedLaplacianOp(2, []float64{1}, nil); err == nil {
+	if err := op.Init(2, []float64{1}, rowPtr, col, nil, 1); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+	if err := op.Init(2, []float64{1, 1}, rowPtr[:2], col, nil, 1); err == nil {
+		t.Fatal("row pointer length mismatch accepted")
 	}
 }
 
@@ -185,9 +209,10 @@ func BenchmarkLanczos500x8(b *testing.B) {
 		a.Set(j, i, -1)
 	}
 	op := denseOp(a)
+	var ws LanczosWS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := LanczosSmallest(op, n, 8, rand.New(rand.NewSource(6))); err != nil {
+		if _, _, _, err := LanczosSmallest(&ws, op, n, 8, rand.New(rand.NewSource(6)), 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}

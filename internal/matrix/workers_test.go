@@ -69,37 +69,34 @@ func TestGeneralizedSymWorkerInvariance(t *testing.T) {
 func TestLanczosWorkerInvariance(t *testing.T) {
 	const n, k = 200, 12
 	l, deg := randomLaplacian(n, 7)
-	forEach := func(i int, fn func(j int, w float64)) {
-		for j := 0; j < n; j++ {
-			if i != j && l.At(i, j) != 0 {
-				fn(j, -l.At(i, j))
-			}
-		}
-	}
-	run := func(workers int) ([]float64, *Dense) {
-		mul, err := NormalizedLaplacianOpN(n, deg, forEach, workers)
-		if err != nil {
+	rowPtr, col, wts := laplacianCSR(l)
+	run := func(workers int, stopEarly bool) ([]float64, *Dense) {
+		var op CSRLaplacianOp
+		if err := op.Init(n, deg, rowPtr, col, wts, workers); err != nil {
 			t.Fatal(err)
 		}
-		v, u, err := LanczosSmallestN(mul, n, k, rand.New(rand.NewSource(11)), workers)
+		var ws LanczosWS
+		v, u, _, err := LanczosSmallest(&ws, op.Mul, n, k, rand.New(rand.NewSource(11)), workers, stopEarly)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return v, u
 	}
-	v1, u1 := run(1)
-	for _, workers := range []int{2, 4, 9} {
-		vn, un := run(workers)
-		for i := range v1 {
-			if !sameBits(vn[i], v1[i]) {
-				t.Fatalf("workers=%d: ritz value[%d] = %g, serial %g", workers, i, vn[i], v1[i])
+	for _, stopEarly := range []bool{false, true} {
+		v1, u1 := run(1, stopEarly)
+		for _, workers := range []int{2, 4, 9} {
+			vn, un := run(workers, stopEarly)
+			for i := range v1 {
+				if !sameBits(vn[i], v1[i]) {
+					t.Fatalf("stopEarly=%v workers=%d: ritz value[%d] = %g, serial %g", stopEarly, workers, i, vn[i], v1[i])
+				}
 			}
-		}
-		for i := 0; i < u1.Rows(); i++ {
-			for j := 0; j < u1.Cols(); j++ {
-				if !sameBits(un.At(i, j), u1.At(i, j)) {
-					t.Fatalf("workers=%d: vector[%d,%d] = %g, serial %g (must be bit-identical)",
-						workers, i, j, un.At(i, j), u1.At(i, j))
+			for i := 0; i < u1.Rows(); i++ {
+				for j := 0; j < u1.Cols(); j++ {
+					if !sameBits(un.At(i, j), u1.At(i, j)) {
+						t.Fatalf("stopEarly=%v workers=%d: vector[%d,%d] = %g, serial %g (must be bit-identical)",
+							stopEarly, workers, i, j, un.At(i, j), u1.At(i, j))
+					}
 				}
 			}
 		}

@@ -93,7 +93,6 @@ type ClusterStats struct {
 	MaxDepth         int           // deepest hierarchy of any round
 	Matchings        int           // pairwise heavy-edge contractions committed
 	Eigensolves      int           // spectral solves (bisections + flat embeddings)
-	WarmStarts       int           // Lanczos solves seeded from a previous Ritz basis
 	LanczosSteps     int           // Krylov steps across all adaptive Lanczos solves
 	RefineMoves      int           // boundary moves applied during uncoarsening
 	CoarsenTime      time.Duration // wall time building the hierarchies

@@ -54,7 +54,7 @@ func TestMetricsAccumulation(t *testing.T) {
 		StageStart{Stage: StageClustering},
 		ISCIteration{Index: 1, Clusters: 7, Placed: 5},
 		ISCIteration{Index: 2, Clusters: 4, Placed: 2},
-		ClusterStats{MultilevelRounds: 2, FlatRounds: 1, Eigensolves: 9, WarmStarts: 1, RefineMoves: 33},
+		ClusterStats{MultilevelRounds: 2, FlatRounds: 1, Eigensolves: 9, RefineMoves: 33},
 		StageEnd{Stage: StageClustering, Elapsed: 3 * time.Second},
 		StageStart{Stage: StagePlace},
 		PlaceProgress{Outer: 0, Step: 20, Lambda: 0.5},
@@ -123,10 +123,10 @@ func TestSlogObserverLevels(t *testing.T) {
 	ob := NewSlog(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo})))
 	ob.Observe(StageStart{Stage: StageClustering})
 	ob.Observe(ISCIteration{Index: 3, Clusters: 9, Placed: 4, QuartileCP: 1.5})
-	ob.Observe(PlaceProgress{Outer: 1, Step: 40})                                 // Debug: filtered at Info
-	ob.Observe(RouteBatch{Batch: 2, Wires: 16})                                   // Debug: filtered at Info
-	ob.Observe(PlaceStats{Outer: 4, FieldSolves: 480, SwapsAccepted: 17})         // Info: summary event
-	ob.Observe(ClusterStats{MultilevelRounds: 3, Eigensolves: 12, WarmStarts: 2}) // Info: summary event
+	ob.Observe(PlaceProgress{Outer: 1, Step: 40})                         // Debug: filtered at Info
+	ob.Observe(RouteBatch{Batch: 2, Wires: 16})                           // Debug: filtered at Info
+	ob.Observe(PlaceStats{Outer: 4, FieldSolves: 480, SwapsAccepted: 17}) // Info: summary event
+	ob.Observe(ClusterStats{MultilevelRounds: 3, Eigensolves: 12})        // Info: summary event
 	ob.Observe(RouteStats{Wires: 16, Rounds: 3, Expansions: 99, FinalCapacity: 9})
 	ob.Observe(StageEnd{Stage: StageClustering, Elapsed: time.Second, Err: errors.New("bad")})
 	out := buf.String()

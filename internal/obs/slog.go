@@ -47,7 +47,7 @@ func (s slogObserver) Observe(e Event) {
 			"mlRounds", e.MultilevelRounds, "flatRounds", e.FlatRounds,
 			"levels", e.Levels, "maxDepth", e.MaxDepth,
 			"matchings", e.Matchings, "eigensolves", e.Eigensolves,
-			"warmStarts", e.WarmStarts, "lanczosSteps", e.LanczosSteps,
+			"lanczosSteps", e.LanczosSteps,
 			"refineMoves", e.RefineMoves, "coarsenTime", e.CoarsenTime,
 			"solveTime", e.SolveTime, "refineTime", e.RefineTime)
 	case PlaceProgress:

@@ -444,7 +444,13 @@ func (rt *router) negotiate(ctx context.Context, initial []int) error {
 			}
 		}
 		if marked == 0 {
-			break // the relaxation alone legalized every edge
+			// Only an escalation can clear every edge here: the relaxation
+			// alone legalized the routing, so it is the last one.
+			obs.Emit(opts.Observer, obs.RouteRelaxation{
+				Relaxations: res.Relaxations,
+				Capacity:    ng.capacity,
+			})
+			break
 		}
 		// Partial rip-up, in reverse wire order: uncommitting decrements
 		// usage live, so a wire is ripped only while an edge on its path

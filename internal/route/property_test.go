@@ -353,3 +353,44 @@ func TestRouteFinalRelaxation(t *testing.T) {
 		t.Fatalf("observer saw %d relaxation events, want 1", n)
 	}
 }
+
+// relaxationLog records the RouteRelaxation events of one routing.
+type relaxationLog []obs.RouteRelaxation
+
+func (l *relaxationLog) Observe(e obs.Event) {
+	if r, ok := e.(obs.RouteRelaxation); ok {
+		*l = append(*l, r)
+	}
+}
+
+// TestRouteRelaxationEvents checks that every capacity relaxation is
+// announced, in order, on a design where one stall escalation legalizes
+// every edge by itself and so ends the negotiation: the events must number
+// RouteStats.Relaxations and the last must carry the final capacity.
+func TestRouteRelaxationEvents(t *testing.T) {
+	nl, pl := congestedNetlist(t)
+	opts := DefaultOptions()
+	opts.Theta = 6
+	opts.Capacity = 2
+	var log relaxationLog
+	opts.Observer = &log
+	res, err := Route(nl, pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRouteInvariants(t, nl, pl, opts, res)
+	if res.Relaxations < 2 {
+		t.Fatalf("%d relaxations, want a design that escalates more than once", res.Relaxations)
+	}
+	if len(log) != res.Relaxations {
+		t.Fatalf("observer saw %d relaxation events, route reports %d", len(log), res.Relaxations)
+	}
+	for i, e := range log {
+		if e.Relaxations != i+1 {
+			t.Fatalf("event %d numbered %d, want %d", i, e.Relaxations, i+1)
+		}
+	}
+	if last := log[len(log)-1]; last.Capacity != res.FinalCapacity || last.Pending != 0 {
+		t.Fatalf("last relaxation %+v, want capacity %d with nothing pending", last, res.FinalCapacity)
+	}
+}
