@@ -136,7 +136,10 @@ type JobStatus struct {
 	// ResultURL points at GET /v1/results/{id} once State is done.
 	ResultURL string `json:"result_url,omitempty"`
 	// Result is the full result payload, embedded when the request asked
-	// to wait (POST /v1/compile?wait=1) and the job finished.
+	// to wait (POST /v1/compile?wait=1) and the job finished: the stored
+	// payload verbatim, byte-identical to GET /v1/results/{id}. It must
+	// stay the last field, because the daemon writes it after the other
+	// members without passing it through encoding/json.
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

@@ -9,7 +9,10 @@ package main
 // The daemon is started on an ephemeral port (-addr 127.0.0.1:0) and its
 // address scraped from the startup line. The test proves the serving
 // guarantees end to end: a repeated compile is a bit-identical cache hit
-// visible in /metrics, two concurrent identical submissions coalesce onto
+// visible in /metrics, the ?wait=1 result of a compile and of its cache
+// hit is the stored payload verbatim (byte-identical to GET
+// /v1/results/{id} and GET /v1/cache/{key}), two concurrent identical
+// submissions coalesce onto
 // one compile and return the same X-Autoncs-Key payload bytes (with the
 // coalesced/cache-hit counters and per-request timing on /metrics),
 // submissions beyond capacity get 429, and SIGTERM drains in-flight work
@@ -121,6 +124,28 @@ func TestDaemonE2E(t *testing.T) {
 	}
 	if !bytes.Equal(firstBytes, secondBytes) {
 		t.Fatal("cached result not bit-identical")
+	}
+	// The verbatim-payload contract: for the fresh compile and for its
+	// cache hit, the ?wait=1 result, GET /v1/results/{id} and GET
+	// /v1/cache/{key} are the same bytes — the stored payload, sent as is.
+	resp, err := http.Get(baseURL + "/v1/cache/" + first.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storedBytes, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cache/%s: status %d, %v", first.Key, resp.StatusCode, err)
+	}
+	for _, st := range []*client.JobStatus{first, second} {
+		results, err := c.ResultBytes(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Result, results) || !bytes.Equal(results, storedBytes) {
+			t.Fatalf("job %s (cached %v): ?wait=1 result, /v1/results and /v1/cache differ (%d, %d, %d bytes)",
+				st.ID, st.Cached, len(st.Result), len(results), len(storedBytes))
+		}
 	}
 	m, err := c.Metrics(ctx)
 	if err != nil {

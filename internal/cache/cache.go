@@ -4,10 +4,12 @@
 // autoncs.CanonicalHash), with an optional on-disk layer that survives
 // process restarts.
 //
-// The store never interprets payloads. Because keys address the *inputs*
-// of a deterministic computation, a hit is bit-exact by construction: the
-// stored bytes are exactly what recomputing would produce, so the service
-// can serve them without any freshness or equality check.
+// The store never interprets payloads itself; a caller that does hands
+// GetDetail a check for the bytes it reads back from disk. Because keys
+// address the *inputs* of a deterministic computation, a hit is bit-exact
+// by construction: the stored bytes are exactly what recomputing would
+// produce, so the service can serve them without any freshness or
+// equality check.
 package cache
 
 import (
@@ -102,20 +104,25 @@ func New(opts Options) (*Store, error) {
 // the entry's LRU position; a memory miss falls back to the on-disk layer
 // (when configured) and promotes the value back into memory.
 func (s *Store) Get(k Key) ([]byte, bool) {
-	v, hit, _ := s.GetDetail(k)
-	return v, hit
+	v, hit, _ := s.GetDetail(k, nil)
+	return clone(v), hit
 }
 
-// GetDetail is Get plus provenance: disk reports whether the hit was served
-// by the on-disk layer (and promoted back into memory) rather than the
-// memory LRU. Callers that surface layer-level hit statistics — the serving
-// layer's obs.CacheLookup events — use this form.
-func (s *Store) GetDetail(k Key) (v []byte, hit, disk bool) {
+// GetDetail is Get without the copy and with provenance: v is the store's
+// own slice, which the caller never modifies, and disk reports whether the
+// hit was served by the on-disk layer (and promoted back into memory)
+// rather than the memory LRU. A value read from disk is promoted, and
+// reported as a hit, only when valid accepts it (nil accepts anything); a
+// rejected file counts as a miss and stays on disk until a Put replaces
+// it. The serving layer reads every payload this way: one copy per key
+// serves all its job records, a corrupt file never reaches memory, and the
+// provenance feeds its obs.CacheLookup events.
+func (s *Store) GetDetail(k Key, valid func([]byte) bool) (v []byte, hit, disk bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[k]; ok {
 		s.ll.MoveToFront(el)
 		s.stats.Hits++
-		v := clone(el.Value.(*entry).val)
+		v := el.Value.(*entry).val
 		s.mu.Unlock()
 		return v, true, false
 	}
@@ -126,16 +133,17 @@ func (s *Store) GetDetail(k Key) (v []byte, hit, disk bool) {
 		return nil, false, false
 	}
 	v, err := os.ReadFile(s.path(k))
-	if err != nil {
+	if err != nil || (valid != nil && !valid(v)) {
 		s.count(&s.stats.Misses)
 		return nil, false, false
 	}
+	v = v[:len(v):len(v)]
 	s.mu.Lock()
 	s.stats.Hits++
 	s.stats.DiskHits++
 	s.insertLocked(k, v)
 	s.mu.Unlock()
-	return clone(v), true, true
+	return v, true, true
 }
 
 // Peek returns a copy of the payload stored under k in the memory layer
@@ -144,7 +152,10 @@ func (s *Store) GetDetail(k Key) (v []byte, hit, disk bool) {
 // does not distort the hit-rate statistics. Peek is O(1) and holds the
 // store lock only briefly, which makes it safe to call from under another
 // subsystem's lock; the serving layer uses it as its admission-time
-// re-check after the handler's full (disk-capable) probe missed.
+// re-check after the handler's full (disk-capable) probe missed. It keeps
+// Get's copy: that re-check hits only when a compile of the key finished
+// between the probe and admission, so the copy is rare and the caller may
+// treat the slice as its own.
 func (s *Store) Peek(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,9 +172,16 @@ func (s *Store) Peek(k Key) ([]byte, bool) {
 // disk. The disk write is atomic (temp file + rename) so a crashed or
 // concurrent writer can never leave a torn payload; a disk failure is
 // returned but the memory layer has already accepted the value.
-func (s *Store) Put(k Key, v []byte) error {
+func (s *Store) Put(k Key, v []byte) error { return s.PutShared(k, clone(v)) }
+
+// PutShared is Put without the copy: the store keeps v itself, so the
+// caller hands v over and never modifies it afterwards. The serving layer
+// publishes each finished compile this way and keeps the same slice on its
+// job records.
+func (s *Store) PutShared(k Key, v []byte) error {
+	v = v[:len(v):len(v)]
 	s.mu.Lock()
-	s.insertLocked(k, clone(v))
+	s.insertLocked(k, v)
 	dir := s.dir
 	s.mu.Unlock()
 	if dir == "" {
@@ -190,14 +208,15 @@ func (s *Store) Put(k Key, v []byte) error {
 }
 
 // PutMemory stores the payload under k in the memory LRU only, never on
-// disk. The serving layer uses it to write through payloads fetched from a
-// fleet peer's cache: the owning peer already persists the entry, so
-// replicating it onto every borrower's disk would just multiply the
-// fleet's storage footprint for bytes the ring will keep routing to the
-// owner anyway.
+// disk, and like PutShared keeps v itself: the caller hands v over and
+// never modifies it afterwards. The serving layer uses it to write through
+// payloads fetched from a fleet peer's cache: the owning peer already
+// persists the entry, so replicating it onto every borrower's disk would
+// just multiply the fleet's storage footprint for bytes the ring will keep
+// routing to the owner anyway.
 func (s *Store) PutMemory(k Key, v []byte) {
 	s.mu.Lock()
-	s.insertLocked(k, clone(v))
+	s.insertLocked(k, v[:len(v):len(v)])
 	s.mu.Unlock()
 }
 
@@ -218,8 +237,8 @@ func (s *Store) Stats() Stats {
 }
 
 // insertLocked inserts or refreshes k, evicting from the cold end while
-// over capacity. Caller holds s.mu. The value must already be private to
-// the store.
+// over capacity. Caller holds s.mu. The value must already be the
+// store's: a private copy, or a slice its caller handed over.
 func (s *Store) insertLocked(k Key, v []byte) {
 	if el, ok := s.byKey[k]; ok {
 		// Content-addressed: same key means same bytes, so only the LRU

@@ -219,24 +219,95 @@ func TestGetDetailProvenance(t *testing.T) {
 	if err := s.Put(a, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, disk := s.GetDetail(a); !hit || disk {
+	if _, hit, disk := s.GetDetail(a, nil); !hit || disk {
 		t.Fatalf("memory entry: hit=%v disk=%v, want true/false", hit, disk)
 	}
 	if err := s.Put(b, []byte("bb")); err != nil { // evicts a from memory
 		t.Fatal(err)
 	}
-	if _, hit, disk := s.GetDetail(a); !hit || !disk {
+	if _, hit, disk := s.GetDetail(a, nil); !hit || !disk {
 		t.Fatalf("disk entry: hit=%v disk=%v, want true/true", hit, disk)
 	}
 	// The disk hit promoted a back into memory.
-	if _, hit, disk := s.GetDetail(a); !hit || disk {
+	if _, hit, disk := s.GetDetail(a, nil); !hit || disk {
 		t.Fatalf("promoted entry: hit=%v disk=%v, want true/false", hit, disk)
 	}
-	if _, hit, _ := s.GetDetail(keyOf(9)); hit {
+	if _, hit, _ := s.GetDetail(keyOf(9), nil); hit {
 		t.Fatal("absent key reported as hit")
 	}
 	st := s.Stats()
 	if st.Hits != 3 || st.DiskHits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v, want hits=3 diskHits=1 misses=1", st)
+	}
+}
+
+// TestSharedFormsDoNotCopy: PutShared, PutMemory and GetDetail hand the
+// store's own slice in and out, so a payload costs one copy however many
+// readers hold it, while Get and Peek keep returning a private copy.
+func TestSharedFormsDoNotCopy(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyOf(1)
+	val := []byte("payload")
+	if err := s.PutShared(k, val); err != nil {
+		t.Fatal(err)
+	}
+	got, hit, disk := s.GetDetail(k, nil)
+	if !hit || disk || &got[0] != &val[0] {
+		t.Fatalf("GetDetail = %q hit=%v disk=%v, want the stored slice itself", got, hit, disk)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("shared slice has spare capacity %d: an append would write into the store's array", cap(got)-len(got))
+	}
+	if cp, _ := s.Get(k); &cp[0] == &val[0] {
+		t.Fatal("Get returned the shared slice, not a copy")
+	}
+	if cp, _ := s.Peek(k); &cp[0] == &val[0] {
+		t.Fatal("Peek returned the shared slice, not a copy")
+	}
+	m := keyOf(2)
+	mval := []byte("memory")
+	s.PutMemory(m, mval)
+	if got, _, _ := s.GetDetail(m, nil); &got[0] != &mval[0] {
+		t.Fatal("PutMemory stored a copy")
+	}
+}
+
+// TestGetDetailValidatesDiskPromotion: a disk file the caller's check
+// rejects is a miss — not promoted into memory, not served — and stays on
+// disk until a Put replaces it; an accepted one is promoted as usual.
+func TestGetDetailValidatesDiskPromotion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, good := keyOf(1), keyOf(2)
+	if err := os.WriteFile(filepath.Join(dir, bad.Hex()), []byte("not json at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, good.Hex()), []byte(`{"ok":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid := func(v []byte) bool { return bytes.HasPrefix(v, []byte("{")) }
+	if v, hit, _ := s.GetDetail(bad, valid); hit || v != nil {
+		t.Fatalf("rejected disk file served: %q hit=%v", v, hit)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 0 {
+		t.Fatalf("stats after a rejected disk file %+v, want one miss and nothing promoted", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, bad.Hex())); err != nil {
+		t.Fatalf("rejected disk file removed: %v", err)
+	}
+	if v, hit, disk := s.GetDetail(good, valid); !hit || !disk || string(v) != `{"ok":true}` {
+		t.Fatalf("accepted disk file: %q hit=%v disk=%v", v, hit, disk)
+	}
+	if err := s.Put(bad, []byte(`{"fixed":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if v, hit, _ := s.GetDetail(bad, valid); !hit || string(v) != `{"fixed":1}` {
+		t.Fatalf("after Put: %q hit=%v", v, hit)
 	}
 }

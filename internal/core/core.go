@@ -162,6 +162,9 @@ func newSpectralEmbedding(w *graph.Conn, kHint, workers int, sc *scratch) (*spec
 	if err := sc.eig.Solve(); err != nil {
 		return nil, fmt.Errorf("core: spectral embedding: %w", err)
 	}
+	if sc.stats != nil {
+		sc.stats.Eigensolves++
+	}
 	sc.emb = spectralEmbedding{active: active, cols: na, eig: &sc.eig, invSqrt: invSqrt}
 	return &sc.emb, nil
 }

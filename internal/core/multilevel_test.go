@@ -235,3 +235,42 @@ func BenchmarkFlatCluster(b *testing.B) {
 		}
 	}
 }
+
+// TestFlatTailCountsEigensolves: a multilevel run's flat-tail round counts
+// its one spectral solve whichever path it takes — the dense eigensolver
+// (≤ lanczosCutoff active neurons) or Lanczos — so Eigensolves is
+// bisections + flat embeddings, as documented.
+func TestFlatTailCountsEigensolves(t *testing.T) {
+	for name, tc := range map[string]struct {
+		w       *graph.Conn
+		lanczos bool
+	}{
+		"dense":   {clusteredNet(8, 20, 51), false},
+		"lanczos": {graph.RandomSparse(720, 0.985, rand.New(rand.NewSource(21))), true},
+	} {
+		if raceEnabled && tc.lanczos {
+			continue // slow under the race detector; the dense case is the fix
+		}
+		sc, st := mlScratchFor(tc.w.N()) // the whole net is under the cutoff
+		if _, err := clusterRound(tc.w, 32, rand.New(rand.NewSource(1)), 1, sc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.FlatRounds != 1 || st.MultilevelRounds != 0 || (st.LanczosSteps > 0) != tc.lanczos {
+			t.Fatalf("%s: round not on the expected flat path: %+v", name, *st)
+		}
+		if st.Eigensolves != 1 {
+			t.Errorf("%s: flat-tail round counted %d eigensolves, want 1", name, st.Eigensolves)
+		}
+	}
+
+	// A whole multilevel-mode ISC run whose rounds all fall under the
+	// cutoff goes dense every round: one solve per round.
+	w := clusteredNet(8, 20, 51)
+	res, err := ISC(w, mlOpts(7, w.N(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := res.Engine; e.FlatRounds == 0 || e.MultilevelRounds != 0 || e.Eigensolves != e.FlatRounds {
+		t.Fatalf("all-flat run: %d flat rounds, %d eigensolves, want one solve per round", e.FlatRounds, e.Eigensolves)
+	}
+}

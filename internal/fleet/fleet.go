@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -194,6 +195,11 @@ type Lookup struct {
 // back. Probes against the chosen peer retry with exponential backoff
 // (bounded per-attempt by the HTTP client's timeout); every failure feeds
 // the peer's breaker.
+//
+// Every payload a peer cache holds — a result or a base artifact — is
+// JSON, so a served payload that is not (json.Valid) is no hit: the lookup
+// fails at once, charging the peer's breaker one failure, since the peer
+// is faulty, not unlucky, and a retry would fetch the same bytes.
 func (f *Fleet) Find(ctx context.Context, key [32]byte) *Lookup {
 	p := f.effectiveOwner(key)
 	if p == nil {
@@ -210,6 +216,12 @@ func (f *Fleet) Find(ctx context.Context, key [32]byte) *Lookup {
 			}
 		}
 		payload, hit, err := f.fetch(ctx, p.url, key)
+		if err == nil && hit && !json.Valid(payload) {
+			p.br.Failure()
+			f.errs.Add(1)
+			return &Lookup{Peer: p.url, Elapsed: time.Since(start),
+				Err: fmt.Errorf("fleet: peer %s served an invalid payload for key %s", p.url, hex.EncodeToString(key[:]))}
+		}
 		if err == nil {
 			p.br.Success()
 			if hit {

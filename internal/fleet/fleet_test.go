@@ -147,6 +147,34 @@ func TestFleetSelfOwnedKeysSkipRemoteLookup(t *testing.T) {
 	}
 }
 
+// TestFleetFindInvalidPayload: a served payload that is not JSON is a
+// failed lookup, not a hit — counted as an error, charged to the peer's
+// breaker once, and not retried (the peer would serve the same bytes).
+func TestFleetFindInvalidPayload(t *testing.T) {
+	stub := newStubPeer(t)
+	f := newTestFleet(t, []*stubPeer{stub}, Options{
+		FailureThreshold: 1,
+		RecoveryInterval: time.Hour,
+	})
+	ctx := context.Background()
+	key := keyOwnedBy(t, f, stub.ts.URL)
+	stub.put(key, []byte("not json at all"))
+
+	lk := f.Find(ctx, key)
+	if lk == nil || lk.Hit || lk.Payload != nil || lk.Err == nil {
+		t.Fatalf("lookup of an invalid payload = %+v, want a failed lookup", lk)
+	}
+	if st := f.Stats(); st.Hits != 0 || st.Errors != 1 {
+		t.Fatalf("stats = %+v, want 0 hits / 1 error", st)
+	}
+	if n := stub.gets.Load(); n != 1 {
+		t.Fatalf("peer fetched %d times, want 1 (no retry of a deterministic bad payload)", n)
+	}
+	if alive := f.Alive(); alive != 1 {
+		t.Fatalf("alive = %d, want 1: the breaker (threshold 1) was not charged", alive)
+	}
+}
+
 // TestFleetDeadOwnerFallsToSuccessor: once the owner's breaker opens, its
 // keys' lookups go to the ring successor — the dead peer is out of the
 // ring until recovery.
@@ -213,7 +241,7 @@ func TestFleetRecoveryReprobesDeadPeer(t *testing.T) {
 	})
 	ctx := context.Background()
 	key := keyOwnedBy(t, f, stub.ts.URL)
-	stub.put(key, []byte("x"))
+	stub.put(key, []byte(`"x"`))
 
 	stub.fail.Store(true)
 	if lk := f.Find(ctx, key); lk == nil || lk.Err == nil {
@@ -274,8 +302,9 @@ func TestFleetConcurrentLookups(t *testing.T) {
 	keys := make([][32]byte, 64)
 	for i := range keys {
 		keys[i] = testKey(i)
-		healthy.put(keys[i], []byte(strings.Repeat("h", 64)))
-		flaky.put(keys[i], []byte(strings.Repeat("f", 64)))
+		// 64-byte JSON strings: Find serves only JSON payloads.
+		healthy.put(keys[i], []byte(`"`+strings.Repeat("h", 62)+`"`))
+		flaky.put(keys[i], []byte(`"`+strings.Repeat("f", 62)+`"`))
 	}
 
 	baseline := runtime.NumGoroutine()

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The network text format is a minimal edge list:
@@ -42,32 +45,34 @@ func (c *Conn) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a network from the text edge-list format.
+// Read parses a network from the text edge-list format. Lines are scanned
+// as bytes, with no per-line string and no fmt, so parsing allocates the
+// same few buffers whatever the edge count (TestReadAllocsFlat).
 func Read(r io.Reader) (*Conn, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	line := 0
-	next := func() (string, bool) {
+	next := func() ([]byte, bool) {
 		for sc.Scan() {
 			line++
-			s := strings.TrimSpace(sc.Text())
-			if s == "" || strings.HasPrefix(s, "#") {
+			s := bytes.TrimSpace(sc.Bytes())
+			if len(s) == 0 || s[0] == '#' {
 				continue
 			}
 			return s, true
 		}
-		return "", false
+		return nil, false
 	}
 	head, ok := next()
-	if !ok || head != formatHeader {
+	if !ok || string(head) != formatHeader {
 		return nil, fmt.Errorf("graph: missing %q header", formatHeader)
 	}
 	sizeLine, ok := next()
 	if !ok {
 		return nil, fmt.Errorf("graph: missing size line")
 	}
-	var n int
-	if _, err := fmt.Sscanf(sizeLine, "n %d", &n); err != nil {
+	n, err := scanSize(sizeLine)
+	if err != nil {
 		return nil, fmt.Errorf("graph: bad size line %q at line %d: %v", sizeLine, line, err)
 	}
 	if n < 0 {
@@ -76,25 +81,116 @@ func Read(r io.Reader) (*Conn, error) {
 	if n > MaxLoadNeurons {
 		return nil, fmt.Errorf("graph: size %d exceeds the %d-neuron load limit", n, MaxLoadNeurons)
 	}
-	c := NewConn(n)
+	c := NewConn(int(n))
 	for {
 		s, ok := next()
 		if !ok {
 			break
 		}
-		var i, j int
-		if _, err := fmt.Sscanf(s, "%d %d", &i, &j); err != nil {
+		i, j, err := scanEdge(s)
+		if err != nil {
 			return nil, fmt.Errorf("graph: bad edge %q at line %d: %v", s, line, err)
 		}
 		if i < 0 || i >= n || j < 0 || j >= n {
 			return nil, fmt.Errorf("graph: edge %d→%d out of range %d at line %d", i, j, n, line)
 		}
-		c.Set(i, j)
+		c.Set(int(i), int(j))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return c, nil
+}
+
+// The size and edge lines accept exactly the language fmt.Sscanf's "n %d"
+// and "%d %d" accept (FuzzLoad checks the two parsers against each other):
+// a number is an optional sign and decimal digits within int64 range,
+// fields are separated by one or more Unicode spaces, and whatever follows
+// the last number is ignored.
+var (
+	errNoSizeTag = errors.New(`expected "n"`)
+	errNoDigits  = errors.New("expected integer")
+	errRange     = errors.New("integer out of range")
+	errNoSpace   = errors.New("expected space between fields")
+)
+
+// scanSize parses a size line, "n <neurons>".
+func scanSize(s []byte) (int64, error) {
+	if len(s) == 0 || s[0] != 'n' {
+		return 0, errNoSizeTag
+	}
+	s, ok := skipSpace(s[1:])
+	if !ok {
+		return 0, errNoSpace
+	}
+	n, _, err := scanInt(s)
+	return n, err
+}
+
+// scanEdge parses an edge line, "<from> <to>".
+func scanEdge(s []byte) (i, j int64, err error) {
+	if i, s, err = scanInt(s); err != nil {
+		return 0, 0, err
+	}
+	s, ok := skipSpace(s)
+	if !ok {
+		return 0, 0, errNoSpace
+	}
+	if j, _, err = scanInt(s); err != nil {
+		return 0, 0, err
+	}
+	return i, j, nil
+}
+
+// scanInt parses the number at the start of s, as strconv.ParseInt(tok,
+// 10, 64) parses the token of an optional sign and the digits after it,
+// and returns the rest of s.
+func scanInt(s []byte) (int64, []byte, error) {
+	k := 0
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		k++
+	}
+	const maxMag = 1 << 63 // |math.MinInt64|
+	var u uint64
+	over := false
+	start := k
+	for ; k < len(s) && '0' <= s[k] && s[k] <= '9'; k++ {
+		if u > maxMag/10 {
+			over = true // keep consuming: the token ends at the last digit
+			continue
+		}
+		u = u*10 + uint64(s[k]-'0')
+	}
+	if k == start {
+		return 0, s, errNoDigits
+	}
+	if over || u > maxMag || (!neg && u == maxMag) {
+		return 0, s, errRange
+	}
+	v := int64(u)
+	if neg {
+		v = -v
+	}
+	return v, s[k:], nil
+}
+
+// skipSpace strips the leading Unicode spaces of s and reports whether
+// there was at least one.
+func skipSpace(s []byte) ([]byte, bool) {
+	k := 0
+	for k < len(s) {
+		r, w := rune(s[k]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRune(s[k:])
+		}
+		if r == '\n' || !unicode.IsSpace(r) {
+			break
+		}
+		k += w
+	}
+	return s[k:], k > 0
 }
 
 // Save writes the network to a file.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -98,5 +99,54 @@ func TestIORoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// netText serializes a random n-neuron network with the given number of
+// distinct edges.
+func netText(tb testing.TB, n, edges int, seed int64) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := NewConn(n)
+	for c.NNZ() < edges {
+		c.Set(rng.Intn(n), rng.Intn(n))
+	}
+	var b bytes.Buffer
+	if err := c.Write(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestReadAllocsFlat pins that parsing allocates the same buffers whatever
+// the edge count: the scanner, the matrix, nothing per line.
+func TestReadAllocsFlat(t *testing.T) {
+	small, large := netText(t, 200, 100, 1), netText(t, 200, 2400, 1)
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(large)
+	if a != b {
+		t.Fatalf("Read allocates %v times for 100 edges and %v for 2400: allocations grow with the edge count", a, b)
+	}
+	if b > 8 {
+		t.Fatalf("Read allocates %v times per network, want at most 8", b)
+	}
+}
+
+// BenchmarkRead parses the serving workload's network size: 200 neurons,
+// 2,400 edges.
+func BenchmarkRead(b *testing.B) {
+	data := netText(b, 200, 2400, 1)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func (s *Server) admitLocked(r *admitReq, now time.Time) admitResult {
 	// Late cache probe: the handler's (disk-capable) probe ran before
 	// admission, and a compile of this key may have finished in between.
 	// The memory layer is O(1) under its own lock, so re-checking here
-	// closes the window without disk I/O. runJob publishes the payload to
+	// closes the window without disk I/O. runFlight publishes the payload to
 	// the cache before removing the flight, so a submission never finds
 	// neither.
 	if payload, ok := s.cache.Peek(r.spec.key); ok {
@@ -183,7 +183,7 @@ func (s *Server) admitLocked(r *admitReq, now time.Time) admitResult {
 	}
 	// Each queue channel holds queueDepth entries and queuedJobs bounds
 	// their combined occupancy, so this send never blocks.
-	q <- j
+	q <- fl
 	s.accepted.Add(1)
 	return admitResult{kind: admitLeader, j: j}
 }
@@ -195,7 +195,9 @@ func (s *Server) registerJobLocked(r *admitReq, now time.Time) *job {
 	s.seq++
 	j := &job{
 		id:        fmt.Sprintf("j-%06d", s.seq),
-		spec:      r.spec,
+		key:       r.spec.key,
+		delta:     r.spec.delta,
+		baseKey:   r.spec.baseKey,
 		priority:  r.priority,
 		done:      make(chan struct{}),
 		state:     client.StateQueued,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -37,7 +38,7 @@ const defaultDeltaMaxRatio = 0.1
 // with; code is the stable machine-readable discriminator.
 func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int, code, msg string) {
 	akey := cache.Key(client.ArtifactKey([32]byte(sp.baseKey)))
-	payload, hit, _ := s.cache.GetDetail(akey)
+	payload, hit, _ := s.cache.GetDetail(akey, json.Valid)
 	// A local artifact miss asks the fleet, exactly like a result lookup:
 	// the base may have compiled on the shard owning its key.
 	fromPeer := false
@@ -113,14 +114,14 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 // editing session chain deltas: the next edit's base key is simply the
 // previous response's Key. Failures only cost future deltas, never the
 // job.
-func (s *Server) putArtifact(j *job, res *autoncs.Result) {
-	art, err := autoncs.EncodeArtifact(res, j.spec.cfg)
+func (s *Server) putArtifact(job string, sp *compileSpec, res *autoncs.Result) {
+	art, err := autoncs.EncodeArtifact(res, sp.cfg)
 	if err != nil {
-		s.log.Warn("artifact encoding failed", "job", j.id, "err", err)
+		s.log.Warn("artifact encoding failed", "job", job, "err", err)
 		return
 	}
-	akey := cache.Key(client.ArtifactKey([32]byte(j.spec.key)))
-	if err := s.cache.Put(akey, art); err != nil {
-		s.log.Warn("artifact cache put failed", "job", j.id, "err", err)
+	akey := cache.Key(client.ArtifactKey([32]byte(sp.key)))
+	if err := s.cache.PutShared(akey, art); err != nil {
+		s.log.Warn("artifact cache put failed", "job", job, "err", err)
 	}
 }

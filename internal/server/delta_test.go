@@ -79,7 +79,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	bk = [32]byte(kb)
-	if _, hit, _ := s.cache.GetDetail(cache.Key(client.ArtifactKey(bk))); !hit {
+	if _, hit, _ := s.cache.GetDetail(cache.Key(client.ArtifactKey(bk)), nil); !hit {
 		t.Fatal("no artifact cached for the base compile")
 	}
 
@@ -214,7 +214,7 @@ func TestDeltaBaseArtifactUnusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	akey := cache.Key(client.ArtifactKey([32]byte(kb)))
-	payload, hit, _ := s.cache.GetDetail(akey)
+	payload, hit, _ := s.cache.GetDetail(akey, nil)
 	if !hit {
 		t.Fatal("no artifact cached for the base compile")
 	}

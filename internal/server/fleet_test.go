@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -192,7 +193,7 @@ func TestFleetBadPeerArtifactNotWrittenThrough(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != 404 || ae.Code != client.CodeBaseArtifactMissing {
 		t.Fatalf("want 404 %s, got %v", client.CodeBaseArtifactMissing, err)
 	}
-	if _, hit, _ := tr.srv[1].cache.GetDetail(akey); hit {
+	if _, hit, _ := tr.srv[1].cache.GetDetail(akey, nil); hit {
 		t.Fatal("undecodable peer artifact was written through to the local cache")
 	}
 	m, err := tr.cl[1].Metrics(context.Background())
@@ -201,6 +202,51 @@ func TestFleetBadPeerArtifactNotWrittenThrough(t *testing.T) {
 	}
 	if m.PeerHits != 1 {
 		t.Fatalf("peer_hits=%d, want the one probe that served the bad artifact", m.PeerHits)
+	}
+}
+
+// TestFleetBadPeerResultNotWrittenThrough: result bytes a peer serves that
+// are not JSON count as a peer error — the peer's breaker is charged, the
+// key compiles locally, and the bad bytes never reach the local cache —
+// instead of being written through and answered as an empty 200.
+func TestFleetBadPeerResultNotWrittenThrough(t *testing.T) {
+	tr := newTrio(t, func(o *Options) {
+		o.PeerFailureThreshold = 1
+		o.PeerRecoveryInterval = time.Hour
+	})
+	ctx := context.Background()
+	_, req := tr.seedOwnedBy(t, 0)
+	key, err := req.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.srv[0].cache.Put(cache.Key(key), []byte("not json at all")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		st, err := tr.cl[1].CompileWait(ctx, req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if st.State != client.StateDone || st.Peer != "" || !json.Valid(st.Result) {
+			t.Fatalf("request %d: %+v, want a local answer with a valid payload", i, st)
+		}
+	}
+	if v, hit, _ := tr.srv[1].cache.GetDetail(cache.Key(key), nil); !hit || !json.Valid(v) {
+		t.Fatal("the bad peer payload was written through to the local cache")
+	}
+	m, err := tr.cl[1].Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PeerErrors != 1 || m.PeerHits != 0 {
+		t.Fatalf("peer_errors=%d peer_hits=%d, want the bad payload counted as one peer error", m.PeerErrors, m.PeerHits)
+	}
+	if m.PeersAlive != 2 {
+		t.Fatalf("peers_alive=%d, want 2: the breaker (threshold 1) was not charged", m.PeersAlive)
+	}
+	if m.JobsCompleted != 1 || m.JobsCacheHits != 1 {
+		t.Fatalf("jobs_completed=%d jobs_cache_hits=%d, want one local compile, then its local hit", m.JobsCompleted, m.JobsCacheHits)
 	}
 }
 

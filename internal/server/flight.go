@@ -29,7 +29,10 @@ import (
 // own. The flight lives in Server.flights from leader admission until the
 // compile reaches a terminal state (or the last waiter detaches), so an
 // admission either finds it and attaches, or finds the finished payload
-// in the cache — never neither.
+// in the cache — never neither. The queues carry flights, not jobs, and
+// the flight alone holds the spec: once the compile has run and every
+// attached job has finished (and let go of it), nothing references the
+// network or the base artifact any more.
 type flight struct {
 	key    cache.Key
 	spec   *compileSpec
@@ -107,10 +110,12 @@ func (s *Server) finishFlightLocked(fl *flight, state string, payload []byte, er
 	}
 }
 
-// finishJobLocked moves one job to a terminal state and emits its flat
-// per-request timing record. Caller holds s.mu, which serializes every
-// finish of a registered job.
+// finishJobLocked moves one job to a terminal state, detaches it from its
+// flight (a finished record must not keep the compile's spec alive), and
+// emits its flat per-request timing record. Caller holds s.mu, which
+// serializes every finish of a registered job.
 func (s *Server) finishJobLocked(j *job, state string, payload []byte, err error, stageTimes map[string]float64) {
 	j.finish(state, payload, err, stageTimes)
+	j.fl = nil
 	s.metrics.Observe(j.timingRecord())
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
@@ -14,20 +15,30 @@ import (
 // (the leader) occupies a queue slot and the rest are followers. Cache-hit
 // jobs are born terminal and attach to nothing.
 //
-// The id, spec, flight pointer, follower flag, and priority are immutable
-// after registration. The lifecycle fields are guarded by mu; `detached`
-// is guarded by the Server's mu (it is part of the flight's waiter
+// A record keeps only what status and result queries read: the content
+// addresses, the timings, and the payload, which is the cache's own slice
+// (cache.Store.GetDetail, PutShared), not a second copy; only a hit found
+// by admitLocked's late re-check holds cache.Store.Peek's copy. It holds
+// no network, spec or artifact, and it lets go of its flight when it
+// finishes, so up to maxJobRecords finished records pin nothing of the
+// compiles behind them (TestFinishedJobHoldsNoInputs).
+//
+// The id, keys, follower flag, and priority are immutable after
+// registration. The lifecycle fields are guarded by mu; fl and detached
+// are guarded by the Server's mu (they are part of the flight's waiter
 // accounting, not the job's own state). done closes exactly once, when the
 // job reaches a terminal state.
 type job struct {
 	id       string
-	spec     *compileSpec
-	fl       *flight // shared compile this record is attached to; nil for cache hits
-	follower bool    // attached to an existing flight rather than leading it
-	priority string  // client.PriorityInteractive or client.PriorityBatch
+	key      cache.Key
+	delta    bool      // the job runs as a delta recompile of baseKey
+	baseKey  cache.Key // the base compile's result key, when delta
+	follower bool      // attached to an existing flight rather than leading it
+	priority string    // client.PriorityInteractive or client.PriorityBatch
 	done     chan struct{}
 
-	detached bool // interest withdrawn (guarded by Server.mu)
+	fl       *flight // shared compile, until the job finishes; nil for cache hits (guarded by Server.mu)
+	detached bool    // interest withdrawn (guarded by Server.mu)
 
 	mu         sync.Mutex
 	state      string
@@ -94,7 +105,7 @@ func (j *job) timingRecord() obs.RequestTiming {
 	defer j.mu.Unlock()
 	t := obs.RequestTiming{
 		Job:       j.id,
-		Key:       j.spec.key.Hex(),
+		Key:       j.key.Hex(),
 		Priority:  j.priority,
 		Coalesced: j.follower,
 		CacheHit:  j.cached,
@@ -132,7 +143,7 @@ func (j *job) status(embedResult bool) client.JobStatus {
 	st := client.JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Key:         j.spec.key.Hex(),
+		Key:         j.key.Hex(),
 		Cached:      j.cached,
 		Peer:        j.peer,
 		Coalesced:   j.follower,
@@ -140,8 +151,8 @@ func (j *job) status(embedResult bool) client.JobStatus {
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
 		StageTimes:  j.stageTimes,
 	}
-	if j.spec.delta {
-		st.BaseKey = j.spec.baseKey.Hex()
+	if j.delta {
+		st.BaseKey = j.baseKey.Hex()
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

@@ -114,8 +114,8 @@ type Server struct {
 
 	baseCtx      context.Context
 	baseCancel   context.CancelFunc
-	qInteractive chan *job
-	qBatch       chan *job
+	qInteractive chan *flight
+	qBatch       chan *flight
 	workers      sync.WaitGroup
 	start        time.Time
 
@@ -244,8 +244,8 @@ func New(opts Options) (*Server, error) {
 		fleet:          fl,
 		baseCtx:        ctx,
 		baseCancel:     cancel,
-		qInteractive:   make(chan *job, depth),
-		qBatch:         make(chan *job, depth),
+		qInteractive:   make(chan *flight, depth),
+		qBatch:         make(chan *flight, depth),
 		admitCh:        make(chan *admitReq, 64),
 		stopAdmit:      make(chan struct{}),
 		start:          time.Now(),
@@ -332,55 +332,57 @@ func (s *Server) Close() {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
-		j, ok := s.nextJob()
+		fl, ok := s.nextFlight()
 		if !ok {
 			return
 		}
-		s.runJob(j)
+		s.runFlight(fl)
 	}
 }
 
-// nextJob takes the next leader job, preferring interactive work without
-// ever starving batch: an interactive job ready right now wins; otherwise
-// whichever queue delivers first. Both channels close on Drain; their
-// buffered remainders are still drained before the worker exits.
-func (s *Server) nextJob() (*job, bool) {
+// nextFlight takes the next queued compile, preferring interactive work
+// without ever starving batch: an interactive compile ready right now
+// wins; otherwise whichever queue delivers first. Both channels close on
+// Drain; their buffered remainders are still drained before the worker
+// exits.
+func (s *Server) nextFlight() (*flight, bool) {
 	select {
-	case j, ok := <-s.qInteractive:
+	case fl, ok := <-s.qInteractive:
 		if ok {
-			return j, true
+			return fl, true
 		}
-		j, ok = <-s.qBatch
-		return j, ok
+		fl, ok = <-s.qBatch
+		return fl, ok
 	default:
 	}
 	select {
-	case j, ok := <-s.qInteractive:
+	case fl, ok := <-s.qInteractive:
 		if ok {
-			return j, true
+			return fl, true
 		}
-		j, ok = <-s.qBatch
-		return j, ok
-	case j, ok := <-s.qBatch:
+		fl, ok = <-s.qBatch
+		return fl, ok
+	case fl, ok := <-s.qBatch:
 		if ok {
-			return j, true
+			return fl, true
 		}
-		j, ok = <-s.qInteractive
-		return j, ok
+		fl, ok = <-s.qInteractive
+		return fl, ok
 	}
 }
 
-// runJob executes one queued leader job — and with it every follower
-// attached to its flight — to a terminal state.
-func (s *Server) runJob(j *job) {
-	fl := j.fl
+// runFlight executes one queued compile to a terminal state, finishing its
+// leader job and every follower attached to it.
+func (s *Server) runFlight(fl *flight) {
+	sp := fl.spec
 	s.mu.Lock()
 	s.queuedJobs--
+	leader := fl.jobs[0]
 	if err := fl.ctx.Err(); err != nil {
 		s.dropFlightLocked(fl)
 		s.finishFlightLocked(fl, client.StateCancelled, nil, err, nil)
 		s.mu.Unlock()
-		s.log.Info("job cancelled before start", "job", j.id)
+		s.log.Info("job cancelled before start", "job", leader.id)
 		return
 	}
 	fl.running = true
@@ -394,10 +396,10 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 
 	s.inflight.Add(1)
-	s.log.Info("job start", "job", j.id, "key", j.spec.key.Hex(),
-		"neurons", j.spec.net.N(), "priority", j.priority, "waiters", waiters)
+	s.log.Info("job start", "job", leader.id, "key", fl.key.Hex(),
+		"neurons", sp.net.N(), "priority", leader.priority, "waiters", waiters)
 	start := time.Now()
-	res, err := s.compileFn(fl.ctx, j.spec, s.compileWorkers, s.metrics)
+	res, err := s.compileFn(fl.ctx, sp, s.compileWorkers, s.metrics)
 	elapsed := time.Since(start)
 	s.inflight.Add(-1)
 	// Every terminal compile — done, failed, or cancelled — updates the
@@ -415,22 +417,23 @@ func (s *Server) runJob(j *job) {
 			state = client.StateCancelled
 		}
 	default:
-		payload, err = encodeResult(j.spec, res)
+		payload, err = encodeResult(sp, res)
 		if err != nil {
 			state = client.StateFailed
-			s.log.Error("job result encoding failed", "job", j.id, "err", err)
+			s.log.Error("job result encoding failed", "job", leader.id, "err", err)
 		} else {
 			// Publish to the cache before dropping the flight, so a racing
 			// admission finds either the flight or the payload — never
-			// neither.
-			if perr := s.cache.Put(j.spec.key, payload); perr != nil {
+			// neither. The cache keeps this very slice, and so do the
+			// finished jobs: one copy of the payload in all.
+			if perr := s.cache.PutShared(fl.key, payload); perr != nil {
 				// A cache write failure only costs future hits; the job is
 				// fine.
-				s.log.Warn("cache put failed", "job", j.id, "err", perr)
+				s.log.Warn("cache put failed", "job", leader.id, "err", perr)
 			}
 			// Store the resumable artifact beside the result so this
 			// compile can serve as a future delta's base.
-			s.putArtifact(j, res)
+			s.putArtifact(leader.id, sp, res)
 			stageTimes = make(map[string]float64, len(res.StageTimes))
 			for stage, d := range res.StageTimes {
 				stageTimes[string(stage)] = d.Seconds()
@@ -447,7 +450,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.finishFlightLocked(fl, state, payload, err, stageTimes)
 	s.mu.Unlock()
-	s.log.Info("job end", "job", j.id, "state", state, "elapsed", elapsed, "waiters", waiters, "err", err)
+	s.log.Info("job end", "job", leader.id, "state", state, "elapsed", elapsed, "waiters", waiters, "err", err)
 }
 
 // handleCompile is POST /v1/compile[?wait=1].
@@ -495,13 +498,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache probe. A hit never consumes a queue slot: the job record is
-	// born terminal.
-	payload, hit, disk := s.cache.GetDetail(spec.key)
+	// born terminal, holding the cache's own copy of the payload.
+	payload, hit, disk := s.cache.GetDetail(spec.key, json.Valid)
 	s.metrics.Observe(obs.CacheLookup{Key: spec.key.Hex(), Hit: hit, Disk: disk})
 	if hit {
 		j := s.cacheHitJob(spec, priority, payload, submitted, "")
 		s.log.Info("cache hit", "job", j.id, "key", spec.key.Hex(), "disk", disk)
-		s.writeJSON(w, http.StatusOK, j.status(wait))
+		s.writeStatus(w, http.StatusOK, j, wait)
 		return
 	}
 
@@ -509,8 +512,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// peer asks that owner before admitting a local compile. A peer hit is
 	// answered exactly like a cache hit — the payload is bit-identical by
 	// content addressing — and written through to the local memory LRU so
-	// repeats are local. Any fleet failure falls through to a local
-	// compile: peering accelerates, it never gates.
+	// repeats are local. A payload that is not JSON never gets that far:
+	// the lookup fails as a peer error, charged to the peer's breaker. Any
+	// fleet failure falls through to a local compile: peering accelerates,
+	// it never gates.
 	if s.fleet != nil {
 		if lk := s.fleet.Find(r.Context(), [32]byte(spec.key)); lk != nil {
 			s.metrics.Observe(obs.PeerLookup{
@@ -522,7 +527,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 				j := s.cacheHitJob(spec, priority, lk.Payload, submitted, lk.Peer)
 				s.log.Info("peer cache hit", "job", j.id, "key", spec.key.Hex(),
 					"peer", lk.Peer, "elapsed", lk.Elapsed)
-				s.writeJSON(w, http.StatusOK, j.status(wait))
+				s.writeStatus(w, http.StatusOK, j, wait)
 				return
 			}
 			if lk.Err != nil {
@@ -543,17 +548,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, res.code, res.msg, res.retryAfter)
 		return
 	case admitCached:
-		s.writeJSON(w, http.StatusOK, res.j.status(wait))
+		s.writeStatus(w, http.StatusOK, res.j, wait)
 		return
 	}
 	j := res.j
 	if !wait {
-		s.writeJSON(w, http.StatusAccepted, j.status(false))
+		s.writeStatus(w, http.StatusAccepted, j, false)
 		return
 	}
 	select {
 	case <-j.done:
-		s.writeJSON(w, http.StatusOK, j.status(true))
+		s.writeStatus(w, http.StatusOK, j, true)
 	case <-r.Context().Done():
 		// The waiting submitter vanished; its interest goes with it. The
 		// compile itself aborts only when no other waiter remains.
@@ -596,7 +601,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, j.status(false))
+	s.writeStatus(w, http.StatusOK, j, false)
 }
 
 // handleCancel is DELETE /v1/jobs/{id}: withdraw one submission's interest
@@ -613,7 +618,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("job cancel requested", "job", j.id)
 		s.detachJob(j)
 	}
-	s.writeJSON(w, http.StatusAccepted, j.status(false))
+	s.writeStatus(w, http.StatusAccepted, j, false)
 }
 
 // handleResult is GET /v1/results/{id}: the raw cached payload. Serving
@@ -632,9 +637,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Autoncs-Key", j.spec.key.Hex())
+	w.Header().Set("X-Autoncs-Key", j.key.Hex())
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
+	w.Write(payload) //nolint:errcheck // a vanished reader costs nothing
 }
 
 // handleCache is GET|HEAD /v1/cache/{key}: the peer cache protocol. It
@@ -650,7 +656,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	payload, hit, _ := s.cache.GetDetail(key)
+	payload, hit, _ := s.cache.GetDetail(key, json.Valid)
 	if !hit {
 		s.writeErr(w, http.StatusNotFound, "not cached", 0)
 		return
@@ -810,13 +816,46 @@ func (s *Server) retryAfter() time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// writeJSON answers with v as compact JSON and a trailing newline.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.log.Error("encoding response", "err", err)
+	}
+}
+
+// writeStatus answers with a job's status, like writeJSON. When the status
+// embeds the result, the stored payload goes out verbatim as the body's
+// last member, "result", instead of through encoding/json, which would
+// validate and copy it all over again: every payload was checked where it
+// entered the process (encoded by a compile here, or json.Valid on its
+// way in from disk or from a peer). A ?wait=1 result is therefore
+// byte-identical to GET /v1/results/{id} and GET /v1/cache/{key}, and the
+// body is the one encoding/json would write, since client.JobStatus
+// declares Result last.
+func (s *Server) writeStatus(w http.ResponseWriter, code int, j *job, embedResult bool) {
+	st := j.status(embedResult)
+	result := st.Result
+	st.Result = nil
+	head, err := json.Marshal(st)
+	if err != nil {
+		s.log.Error("encoding response", "err", err)
+		w.WriteHeader(http.StatusInternalServerError)
+		return
+	}
+	tail := []byte("\n")
+	if len(result) > 0 {
+		head = append(head[:len(head)-1], `,"result":`...)
+		tail = []byte("}\n")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
+	w.WriteHeader(code)
+	for _, b := range [][]byte{head, result, tail} {
+		if _, err := w.Write(b); err != nil {
+			return // the client went away
+		}
 	}
 }
 

@@ -305,6 +305,10 @@ func (a *Assignment) Validate(cm *graph.Conn) error {
 // ⌈N/s⌉ index-order groups with s = lib.Max() and realize every non-empty
 // s×s block of the connection matrix with a maximum-size crossbar
 // (Section 4.2). The result uses crossbars only — no discrete synapses.
+// One pass over each row group buckets its connections by column group,
+// so the cost is linear in the connections plus the blocks; crossbars come
+// out row group by row group, column groups ascending, each block's
+// connections in row order.
 func FullCro(cm *graph.Conn, lib Library) *Assignment {
 	s := lib.Max()
 	n := cm.N()
@@ -321,33 +325,27 @@ func FullCro(cm *graph.Conn, lib Library) *Assignment {
 		return idx
 	}
 	a := &Assignment{N: n, Total: cm.NNZ()}
+	blocks := make([][]graph.Edge, groups)
+	var buf []int
 	for gi := 0; gi < groups; gi++ {
 		rows := group(gi)
-		for gj := 0; gj < groups; gj++ {
-			cols := group(gj)
-			colSet := make(map[int]bool, len(cols))
-			for _, c := range cols {
-				colSet[c] = true
+		for _, i := range rows {
+			buf = cm.RowNeighbors(i, buf[:0])
+			for _, j := range buf {
+				blocks[j/s] = append(blocks[j/s], graph.Edge{From: i, To: j})
 			}
-			var conns []graph.Edge
-			var buf []int
-			for _, i := range rows {
-				buf = cm.RowNeighbors(i, buf[:0])
-				for _, j := range buf {
-					if colSet[j] {
-						conns = append(conns, graph.Edge{From: i, To: j})
-					}
-				}
-			}
+		}
+		for gj, conns := range blocks {
 			if len(conns) == 0 {
 				continue
 			}
 			a.Crossbars = append(a.Crossbars, Crossbar{
 				Size:    s,
 				Inputs:  rows,
-				Outputs: cols,
+				Outputs: group(gj),
 				Conns:   conns,
 			})
+			blocks[gj] = nil
 		}
 	}
 	return a

@@ -1,12 +1,15 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/hopfield"
 )
 
 func TestNewLibraryValidation(t *testing.T) {
@@ -364,4 +367,84 @@ func TestLibraryEmpty(t *testing.T) {
 		}
 	}()
 	l.Min()
+}
+
+// fullCroReference is the FullCro that FullCro's single bucketed pass
+// replaced — one column set and one scan of the row group per block pair —
+// kept as the specification of the baseline's crossbars and their order.
+func fullCroReference(cm *graph.Conn, lib Library) *Assignment {
+	s := lib.Max()
+	n := cm.N()
+	groups := (n + s - 1) / s
+	group := func(g int) []int {
+		idx := []int{}
+		for i := g * s; i < min((g+1)*s, n); i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	a := &Assignment{N: n, Total: cm.NNZ()}
+	for gi := 0; gi < groups; gi++ {
+		rows := group(gi)
+		for gj := 0; gj < groups; gj++ {
+			cols := group(gj)
+			colSet := make(map[int]bool, len(cols))
+			for _, c := range cols {
+				colSet[c] = true
+			}
+			var conns []graph.Edge
+			var buf []int
+			for _, i := range rows {
+				buf = cm.RowNeighbors(i, buf[:0])
+				for _, j := range buf {
+					if colSet[j] {
+						conns = append(conns, graph.Edge{From: i, To: j})
+					}
+				}
+			}
+			if len(conns) > 0 {
+				a.Crossbars = append(a.Crossbars, Crossbar{Size: s, Inputs: rows, Outputs: cols, Conns: conns})
+			}
+		}
+	}
+	return a
+}
+
+// TestFullCroMatchesReference: FullCro builds the reference's crossbars in
+// the reference's order — so AvgUtilization, the automatic ISC threshold,
+// keeps its bits — on the paper's testbenches, on random nets whose size
+// is not a multiple of the largest crossbar, on a net with empty blocks,
+// and on an empty one.
+func TestFullCroMatchesReference(t *testing.T) {
+	lib := DefaultLibrary()
+	nets := map[string]*graph.Conn{"empty": graph.NewConn(100)}
+	for i, tb := range hopfield.Testbenches() {
+		cm, _, _ := tb.Build(1)
+		nets[fmt.Sprintf("tb%d", i+1)] = cm
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 63, 65, 150, 333, 1000} {
+		if n%lib.Max() == 0 {
+			t.Fatalf("n=%d is a multiple of %d", n, lib.Max())
+		}
+		nets[fmt.Sprintf("random%d", n)] = graph.RandomSparse(n, 0.9, rng)
+	}
+	holes := graph.NewConn(300) // five groups, three populated blocks
+	holes.Set(0, 1)
+	holes.Set(70, 250)
+	holes.Set(299, 130)
+	holes.Set(299, 131)
+	nets["holes"] = holes
+	for name, cm := range nets {
+		got, want := FullCro(cm, lib), fullCroReference(cm, lib)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: FullCro differs from the reference", name)
+		}
+		if g, w := got.AvgUtilization(), want.AvgUtilization(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: AvgUtilization = %v, the reference's %v", name, g, w)
+		}
+	}
+	if len(FullCro(holes, lib).Crossbars) != 3 {
+		t.Fatal("the holes net does not leave blocks empty")
+	}
 }
