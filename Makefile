@@ -8,7 +8,7 @@ BENCH_NEW ?= bench_new.txt
 # -benchtime=1x; raise the count for tighter confidence intervals.
 BENCH_COUNT ?= 6
 
-.PHONY: all build vet test test-race lint fuzz serve e2e e2e-fleet bench bench-save bench-compare bench-large bench-selftest golden-update clean
+.PHONY: all build vet test test-race lint fuzz serve e2e e2e-fleet bench bench-save bench-compare bench-large bench-selftest golden-update loc clean
 
 all: build vet test
 
@@ -93,6 +93,12 @@ bench-selftest:
 # behaviour change. Review the diff before committing.
 golden-update:
 	$(GO) test -run TestCompileGolden -update ./
+
+# Go lines of the tracked files outside the nested benchmark/ module,
+# non-test and test: the net line count each change reports.
+loc:
+	@echo "non-test Go lines: $$(git ls-files -- '*.go' ':!benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(git ls-files -- '*.go' ':!benchmark/' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

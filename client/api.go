@@ -206,9 +206,6 @@ type Metrics struct {
 	// Flights counts the entries of the single-flight table: compiles
 	// queued or running that new identical submissions would attach to.
 	Flights int `json:"flights"`
-	// AdmitRounds counts admission batches decided (each one lock
-	// acquisition covering up to -batch-size submissions).
-	AdmitRounds int64 `json:"admit_rounds"`
 
 	JobsAccepted  int64 `json:"jobs_accepted"`
 	JobsCompleted int64 `json:"jobs_completed"`

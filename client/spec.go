@@ -160,7 +160,7 @@ func (r CompileRequest) Spec(maxNeurons int) (*Spec, error) {
 	return sp, nil
 }
 
-// Key derives the request's content address without keeping the
+// CacheKey derives the request's content address without keeping the
 // materialized network around — the routing form of Spec.
 func (r CompileRequest) CacheKey() ([32]byte, error) {
 	sp, err := r.Spec(0)

@@ -48,8 +48,6 @@ func main() {
 		slots        = flag.Int("slots", 0, "concurrent compile slots (0 = 2)")
 		queue        = flag.Int("queue", 0, "bounded job-queue depth beyond the running slots (0 = 8)")
 		workers      = flag.Int("workers", 0, "worker-pool size per compile (0 = NumCPU/slots)")
-		batchSize    = flag.Int("batch-size", 0, "admission batcher max batch size (0 = 16)")
-		batchWindow  = flag.Duration("batch-window", 0, "how long admission waits to fill a batch (0 = 2ms)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the on-disk result cache (empty = memory only)")
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = 256, -1 disables the memory layer)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
@@ -90,8 +88,6 @@ func main() {
 		Slots:                *slots,
 		QueueDepth:           *queue,
 		CompileWorkers:       *workers,
-		AdmitBatch:           *batchSize,
-		AdmitWindow:          *batchWindow,
 		DeltaMaxEditRatio:    *deltaRatio,
 		Cache:                store,
 		Log:                  log,

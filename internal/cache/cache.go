@@ -44,24 +44,15 @@ type Options struct {
 	// MaxEntries bounds the in-memory LRU; 0 means DefaultMaxEntries.
 	// Negative disables the memory layer entirely (only useful with Dir).
 	MaxEntries int
-	// Dir, when non-empty, enables the on-disk layer: every Put is also
-	// written to Dir/<hex-key>, and a memory miss falls back to a disk
-	// read (promoting the value back into memory). The directory is
-	// created if missing.
+	// Dir, when non-empty, enables the on-disk layer: every PutShared is
+	// also written to Dir/<hex-key>, and a GetDetail memory miss falls back
+	// to a disk read (promoting the value back into memory). The directory
+	// is created if missing.
 	Dir string
 }
 
 // DefaultMaxEntries is the in-memory capacity when Options.MaxEntries is 0.
 const DefaultMaxEntries = 256
-
-// Stats is a point-in-time counter snapshot of a Store.
-type Stats struct {
-	Hits      int64 // Get calls that found the key (memory or disk)
-	DiskHits  int64 // the subset of Hits served by the on-disk layer
-	Misses    int64 // Get calls that found nothing
-	Evictions int64 // entries dropped from memory by the LRU bound
-	Entries   int   // current in-memory entry count
-}
 
 type entry struct {
 	key Key
@@ -75,7 +66,6 @@ type Store struct {
 	dir        string
 	ll         *list.List // front = most recently used
 	byKey      map[Key]*list.Element
-	stats      Stats
 }
 
 // New returns a Store; when opts.Dir is set the directory is created.
@@ -100,28 +90,20 @@ func New(opts Options) (*Store, error) {
 	}, nil
 }
 
-// Get returns a copy of the payload stored under k. A memory hit refreshes
-// the entry's LRU position; a memory miss falls back to the on-disk layer
-// (when configured) and promotes the value back into memory.
-func (s *Store) Get(k Key) ([]byte, bool) {
-	v, hit, _ := s.GetDetail(k, nil)
-	return clone(v), hit
-}
-
-// GetDetail is Get without the copy and with provenance: v is the store's
-// own slice, which the caller never modifies, and disk reports whether the
-// hit was served by the on-disk layer (and promoted back into memory)
-// rather than the memory LRU. A value read from disk is promoted, and
-// reported as a hit, only when valid accepts it (nil accepts anything); a
-// rejected file counts as a miss and stays on disk until a Put replaces
-// it. The serving layer reads every payload this way: one copy per key
-// serves all its job records, a corrupt file never reaches memory, and the
-// provenance feeds its obs.CacheLookup events.
+// GetDetail returns the payload stored under k, with its provenance. v is
+// the store's own slice, which the caller never modifies. A memory hit
+// refreshes the entry's LRU position; a memory miss falls back to the
+// on-disk layer (when configured), and disk reports a hit served from
+// there and promoted back into memory. A value read from disk is promoted,
+// and reported as a hit, only when valid accepts it (nil accepts
+// anything); a rejected file is a miss and stays on disk until a PutShared
+// replaces it. The serving layer reads every payload this way: one copy
+// per key serves all its job records, a corrupt file never reaches memory,
+// and the provenance feeds its obs.CacheLookup events.
 func (s *Store) GetDetail(k Key, valid func([]byte) bool) (v []byte, hit, disk bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[k]; ok {
 		s.ll.MoveToFront(el)
-		s.stats.Hits++
 		v := el.Value.(*entry).val
 		s.mu.Unlock()
 		return v, true, false
@@ -129,33 +111,27 @@ func (s *Store) GetDetail(k Key, valid func([]byte) bool) (v []byte, hit, disk b
 	dir := s.dir
 	s.mu.Unlock()
 	if dir == "" {
-		s.count(&s.stats.Misses)
 		return nil, false, false
 	}
 	v, err := os.ReadFile(s.path(k))
 	if err != nil || (valid != nil && !valid(v)) {
-		s.count(&s.stats.Misses)
 		return nil, false, false
 	}
 	v = v[:len(v):len(v)]
 	s.mu.Lock()
-	s.stats.Hits++
-	s.stats.DiskHits++
 	s.insertLocked(k, v)
 	s.mu.Unlock()
 	return v, true, true
 }
 
 // Peek returns a copy of the payload stored under k in the memory layer
-// only: no disk fallback, no LRU refresh on the probed entry's neighbours,
-// and — unlike Get — no miss is counted when the key is absent, so probing
-// does not distort the hit-rate statistics. Peek is O(1) and holds the
-// store lock only briefly, which makes it safe to call from under another
-// subsystem's lock; the serving layer uses it as its admission-time
-// re-check after the handler's full (disk-capable) probe missed. It keeps
-// Get's copy: that re-check hits only when a compile of the key finished
-// between the probe and admission, so the copy is rare and the caller may
-// treat the slice as its own.
+// only: no disk fallback, so no file read and no promotion. A hit refreshes
+// the entry's LRU position. Peek is O(1) and holds the store lock only
+// briefly, which makes it safe to call from under another subsystem's
+// lock; the serving layer uses it as its admission-time re-check after the
+// handler's full (disk-capable) probe missed. That re-check hits only when
+// a compile of the key finished between the probe and admission, so the
+// copy is rare and the caller may treat the slice as its own.
 func (s *Store) Peek(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,20 +140,16 @@ func (s *Store) Peek(k Key) ([]byte, bool) {
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
-	s.stats.Hits++
 	return clone(el.Value.(*entry).val), true
 }
 
-// Put stores the payload under k in memory and — when configured — on
-// disk. The disk write is atomic (temp file + rename) so a crashed or
-// concurrent writer can never leave a torn payload; a disk failure is
-// returned but the memory layer has already accepted the value.
-func (s *Store) Put(k Key, v []byte) error { return s.PutShared(k, clone(v)) }
-
-// PutShared is Put without the copy: the store keeps v itself, so the
-// caller hands v over and never modifies it afterwards. The serving layer
-// publishes each finished compile this way and keeps the same slice on its
-// job records.
+// PutShared stores the payload under k in memory and — when configured —
+// on disk. The store keeps v itself, so the caller hands v over and never
+// modifies it afterwards; the serving layer publishes each finished compile
+// this way and keeps the same slice on its job records. The disk write is
+// atomic (temp file + rename) so a crashed or concurrent writer can never
+// leave a torn payload; a disk failure is returned but the memory layer
+// has already accepted the value.
 func (s *Store) PutShared(k Key, v []byte) error {
 	v = v[:len(v):len(v)]
 	s.mu.Lock()
@@ -227,15 +199,6 @@ func (s *Store) Len() int {
 	return s.ll.Len()
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = s.ll.Len()
-	return st
-}
-
 // insertLocked inserts or refreshes k, evicting from the cold end while
 // over capacity. Caller holds s.mu. The value must already be the
 // store's: a private copy, or a slice its caller handed over.
@@ -256,14 +219,7 @@ func (s *Store) insertLocked(k Key, v []byte) {
 		cold := s.ll.Back()
 		s.ll.Remove(cold)
 		delete(s.byKey, cold.Value.(*entry).key)
-		s.stats.Evictions++
 	}
-}
-
-func (s *Store) count(c *int64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
 }
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.Hex()) }

@@ -42,27 +42,27 @@ func TestMemoryHitMissAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := keyOf(1)
-	if _, ok := s.Get(k); ok {
+	k, other := keyOf(1), keyOf(2)
+	if _, hit, _ := s.GetDetail(k, nil); hit {
 		t.Fatal("hit on empty store")
 	}
-	val := []byte("payload")
-	if err := s.Put(k, val); err != nil {
+	if err := s.PutShared(k, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	val[0] = 'X' // caller mutation after Put must not reach the store
-	got, ok := s.Get(k)
-	if !ok || !bytes.Equal(got, []byte("payload")) {
-		t.Fatalf("Get = %q, %v", got, ok)
+	if got, hit, disk := s.GetDetail(k, nil); !hit || disk || !bytes.Equal(got, []byte("payload")) {
+		t.Fatalf("GetDetail = %q hit=%v disk=%v", got, hit, disk)
 	}
-	got[0] = 'Y' // returned slice mutation must not reach the store
-	again, _ := s.Get(k)
-	if !bytes.Equal(again, []byte("payload")) {
-		t.Fatalf("store payload corrupted via returned slice: %q", again)
+	if _, hit, _ := s.GetDetail(other, nil); hit {
+		t.Fatal("a different key hit k's entry")
 	}
-	st := s.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.DiskHits != 0 {
-		t.Errorf("stats %+v", st)
+	if err := s.PutShared(other, []byte("other")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := s.GetDetail(k, nil); !bytes.Equal(got, []byte("payload")) {
+		t.Fatalf("storing another key changed k's payload to %q", got)
+	}
+	if s.Len() != 2 {
+		t.Errorf("Len %d, want 2", s.Len())
 	}
 }
 
@@ -72,21 +72,21 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c := keyOf(1), keyOf(2), keyOf(3)
-	s.Put(a, []byte("a"))
-	s.Put(b, []byte("b"))
-	s.Get(a) // refresh a → b is now coldest
-	s.Put(c, []byte("c"))
-	if _, ok := s.Get(b); ok {
+	s.PutShared(a, []byte("a"))
+	s.PutShared(b, []byte("b"))
+	s.GetDetail(a, nil) // refresh a → b is now coldest
+	s.PutShared(c, []byte("c"))
+	if _, hit, _ := s.GetDetail(b, nil); hit {
 		t.Error("coldest entry b survived eviction")
 	}
-	if _, ok := s.Get(a); !ok {
+	if _, hit, _ := s.GetDetail(a, nil); !hit {
 		t.Error("refreshed entry a was evicted")
 	}
-	if _, ok := s.Get(c); !ok {
+	if _, hit, _ := s.GetDetail(c, nil); !hit {
 		t.Error("newest entry c was evicted")
 	}
-	if st := s.Stats(); st.Evictions != 1 || st.Entries != 2 {
-		t.Errorf("stats %+v", st)
+	if s.Len() != 2 {
+		t.Errorf("Len %d after one eviction, want 2", s.Len())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestDiskLayerSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := keyOf(9)
-	if err := s1.Put(k, []byte("durable")); err != nil {
+	if err := s1.PutShared(k, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, k.Hex())); err != nil {
@@ -109,20 +109,16 @@ func TestDiskLayerSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get(k)
-	if !ok || !bytes.Equal(got, []byte("durable")) {
-		t.Fatalf("disk fallback Get = %q, %v", got, ok)
+	got, hit, disk := s2.GetDetail(k, nil)
+	if !hit || !disk || !bytes.Equal(got, []byte("durable")) {
+		t.Fatalf("disk fallback GetDetail = %q hit=%v disk=%v", got, hit, disk)
 	}
-	st := s2.Stats()
-	if st.DiskHits != 1 || st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("stats %+v", st)
+	if s2.Len() != 1 {
+		t.Errorf("Len %d after a disk hit, want the promoted entry", s2.Len())
 	}
-	// The disk hit promoted the entry: the next Get is a memory hit.
-	if _, ok := s2.Get(k); !ok {
-		t.Fatal("promoted entry missing")
-	}
-	if st := s2.Stats(); st.DiskHits != 1 || st.Hits != 2 {
-		t.Errorf("post-promotion stats %+v", st)
+	// The disk hit promoted the entry: the next lookup is a memory hit.
+	if _, hit, disk := s2.GetDetail(k, nil); !hit || disk {
+		t.Fatalf("promoted entry: hit=%v disk=%v, want true/false", hit, disk)
 	}
 }
 
@@ -132,14 +128,14 @@ func TestMemoryDisabledStillUsesDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := keyOf(4)
-	if err := s.Put(k, []byte("v")); err != nil {
+	if err := s.PutShared(k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("memory layer holds %d entries with MaxEntries<0", s.Len())
 	}
-	if got, ok := s.Get(k); !ok || !bytes.Equal(got, []byte("v")) {
-		t.Fatalf("Get = %q, %v", got, ok)
+	if got, hit, disk := s.GetDetail(k, nil); !hit || !disk || !bytes.Equal(got, []byte("v")) {
+		t.Fatalf("GetDetail = %q hit=%v disk=%v", got, hit, disk)
 	}
 }
 
@@ -156,8 +152,8 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := keyOf(byte(i % 16))
 				want := []byte(fmt.Sprintf("v%d", i%16))
-				s.Put(k, want)
-				if got, ok := s.Get(k); ok && len(got) == 0 {
+				s.PutShared(k, want)
+				if got, hit, _ := s.GetDetail(k, nil); hit && len(got) == 0 {
 					t.Errorf("empty payload for %v", k)
 				}
 			}
@@ -166,9 +162,9 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPeekMemoryOnly: Peek hits the memory layer, never disk, and an
-// absent key does not count as a miss (it is the serving layer's
-// admission-time probe, which must not distort the hit rate).
+// TestPeekMemoryOnly: Peek hits the memory layer, never disk — a miss
+// neither reads nor promotes the disk file — and returns a private copy
+// (it is the serving layer's admission-time re-check).
 func TestPeekMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{MaxEntries: 1, Dir: dir})
@@ -176,34 +172,28 @@ func TestPeekMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := keyOf(1), keyOf(2)
-	if err := s.Put(a, []byte("aa")); err != nil {
+	if err := s.PutShared(a, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b, []byte("bb")); err != nil {
+	if err := s.PutShared(b, []byte("bb")); err != nil {
 		t.Fatal(err)
 	}
-	// a has been evicted from memory but lives on disk: Peek must miss it
-	// without counting a miss, while Get still finds it.
+	// a has been evicted from memory but lives on disk: Peek must miss it,
+	// and leave it on disk only, while GetDetail still finds it there.
 	if _, ok := s.Peek(a); ok {
 		t.Fatal("Peek served an evicted entry (went to disk?)")
-	}
-	if got := s.Stats().Misses; got != 0 {
-		t.Fatalf("Peek miss counted as a miss: %d", got)
 	}
 	v, ok := s.Peek(b)
 	if !ok || !bytes.Equal(v, []byte("bb")) {
 		t.Fatalf("Peek(b) = %q, %v", v, ok)
-	}
-	if st := s.Stats(); st.Hits != 1 || st.DiskHits != 0 {
-		t.Fatalf("stats after Peek hit: %+v", st)
 	}
 	// Mutating the returned slice must not corrupt the store.
 	v[0] = 'X'
 	if w, _ := s.Peek(b); !bytes.Equal(w, []byte("bb")) {
 		t.Fatal("Peek returned an aliased slice")
 	}
-	if got, ok := s.Get(a); !ok || !bytes.Equal(got, []byte("aa")) {
-		t.Fatalf("Get(a) after Peek miss = %q, %v", got, ok)
+	if got, hit, disk := s.GetDetail(a, nil); !hit || !disk || !bytes.Equal(got, []byte("aa")) {
+		t.Fatalf("GetDetail(a) after Peek miss = %q hit=%v disk=%v, want a disk hit", got, hit, disk)
 	}
 }
 
@@ -216,13 +206,13 @@ func TestGetDetailProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := keyOf(1), keyOf(2)
-	if err := s.Put(a, []byte("aa")); err != nil {
+	if err := s.PutShared(a, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
 	if _, hit, disk := s.GetDetail(a, nil); !hit || disk {
 		t.Fatalf("memory entry: hit=%v disk=%v, want true/false", hit, disk)
 	}
-	if err := s.Put(b, []byte("bb")); err != nil { // evicts a from memory
+	if err := s.PutShared(b, []byte("bb")); err != nil { // evicts a from memory
 		t.Fatal(err)
 	}
 	if _, hit, disk := s.GetDetail(a, nil); !hit || !disk {
@@ -235,15 +225,11 @@ func TestGetDetailProvenance(t *testing.T) {
 	if _, hit, _ := s.GetDetail(keyOf(9), nil); hit {
 		t.Fatal("absent key reported as hit")
 	}
-	st := s.Stats()
-	if st.Hits != 3 || st.DiskHits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want hits=3 diskHits=1 misses=1", st)
-	}
 }
 
 // TestSharedFormsDoNotCopy: PutShared, PutMemory and GetDetail hand the
 // store's own slice in and out, so a payload costs one copy however many
-// readers hold it, while Get and Peek keep returning a private copy.
+// readers hold it, while Peek keeps returning a private copy.
 func TestSharedFormsDoNotCopy(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -260,9 +246,6 @@ func TestSharedFormsDoNotCopy(t *testing.T) {
 	}
 	if cap(got) != len(got) {
 		t.Fatalf("shared slice has spare capacity %d: an append would write into the store's array", cap(got)-len(got))
-	}
-	if cp, _ := s.Get(k); &cp[0] == &val[0] {
-		t.Fatal("Get returned the shared slice, not a copy")
 	}
 	if cp, _ := s.Peek(k); &cp[0] == &val[0] {
 		t.Fatal("Peek returned the shared slice, not a copy")
@@ -295,8 +278,8 @@ func TestGetDetailValidatesDiskPromotion(t *testing.T) {
 	if v, hit, _ := s.GetDetail(bad, valid); hit || v != nil {
 		t.Fatalf("rejected disk file served: %q hit=%v", v, hit)
 	}
-	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 0 {
-		t.Fatalf("stats after a rejected disk file %+v, want one miss and nothing promoted", st)
+	if s.Len() != 0 {
+		t.Fatalf("Len %d after a rejected disk file, want nothing promoted", s.Len())
 	}
 	if _, err := os.Stat(filepath.Join(dir, bad.Hex())); err != nil {
 		t.Fatalf("rejected disk file removed: %v", err)
@@ -304,7 +287,7 @@ func TestGetDetailValidatesDiskPromotion(t *testing.T) {
 	if v, hit, disk := s.GetDetail(good, valid); !hit || !disk || string(v) != `{"ok":true}` {
 		t.Fatalf("accepted disk file: %q hit=%v disk=%v", v, hit, disk)
 	}
-	if err := s.Put(bad, []byte(`{"fixed":1}`)); err != nil {
+	if err := s.PutShared(bad, []byte(`{"fixed":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if v, hit, _ := s.GetDetail(bad, valid); !hit || string(v) != `{"fixed":1}` {

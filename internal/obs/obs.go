@@ -211,8 +211,10 @@ type RequestTiming struct {
 	CacheHit  bool   // answered from the result cache, no compile involved
 	State     string // terminal state: done, failed, or cancelled
 
-	Submitted time.Time     // when the request entered the handler
-	AdmitWait time.Duration // submit → admission decision (the batcher window)
+	Submitted time.Time // when the request entered the handler
+	// AdmitWait is submit → admission decision: request decode, spec
+	// build, delta base resolution and the cache/peer probes.
+	AdmitWait time.Duration
 	QueueWait time.Duration // admission → compile start (zero when attached mid-run)
 	Run       time.Duration // compile start → terminal state
 	Total     time.Duration // submit → terminal state

@@ -409,44 +409,6 @@ func TestBadPriorityRejected(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchWindow: concurrent submissions inside one batching window
-// are decided in a single admission round.
-func TestAdmitBatchWindow(t *testing.T) {
-	s, c := newTestServer(t, Options{Slots: 1, QueueDepth: 4, AdmitBatch: 3, AdmitWindow: 5 * time.Second})
-	installBlocking(s)
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Compile(ctx, smallReq(int64(i+1))); err != nil {
-				t.Errorf("submission %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	s.mu.Lock()
-	rounds := s.admitRounds
-	s.mu.Unlock()
-	// The batch fills to AdmitBatch before the window expires, so all
-	// three are decided together without waiting out the 5s timer.
-	if rounds != 1 {
-		t.Errorf("admission rounds %d, want 1", rounds)
-	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.JobsAccepted != 3 || m.AdmitRounds != 1 {
-		t.Errorf("accepted %d rounds %d, want 3/1", m.JobsAccepted, m.AdmitRounds)
-	}
-	// The parked compiles are cancelled by the cleanup's Close; nothing
-	// needs to run to completion here.
-}
-
 // TestRetryAfterUpdatedOnFailure: every terminal compile — not only a
 // successful one — refreshes the Retry-After estimate.
 func TestRetryAfterUpdatedOnFailure(t *testing.T) {

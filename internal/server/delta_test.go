@@ -222,7 +222,7 @@ func TestDeltaBaseArtifactUnusable(t *testing.T) {
 	if bytes.Equal(stale, payload) {
 		t.Fatal("artifact carries no v2 format tag")
 	}
-	if err := s.cache.Put(akey, stale); err != nil {
+	if err := s.cache.PutShared(akey, stale); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.CompileWait(ctx, client.CompileRequest{Net: editedNetText(t), Seed: 1, Base: base.Key})

@@ -183,7 +183,7 @@ func TestFleetBadPeerArtifactNotWrittenThrough(t *testing.T) {
 		}
 	}
 	akey := cache.Key(client.ArtifactKey(base))
-	if err := tr.srv[0].cache.Put(akey, []byte(`{"format":"autoncs-artifact/v1"}`)); err != nil {
+	if err := tr.srv[0].cache.PutShared(akey, []byte(`{"format":"autoncs-artifact/v1"}`)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := tr.cl[1].CompileWait(context.Background(), client.CompileRequest{
@@ -220,7 +220,7 @@ func TestFleetBadPeerResultNotWrittenThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.srv[0].cache.Put(cache.Key(key), []byte("not json at all")); err != nil {
+	if err := tr.srv[0].cache.PutShared(cache.Key(key), []byte("not json at all")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

@@ -18,7 +18,7 @@ import (
 // A record keeps only what status and result queries read: the content
 // addresses, the timings, and the payload, which is the cache's own slice
 // (cache.Store.GetDetail, PutShared), not a second copy; only a hit found
-// by admitLocked's late re-check holds cache.Store.Peek's copy. It holds
+// by admit's late re-check holds cache.Store.Peek's copy. It holds
 // no network, spec or artifact, and it lets go of its flight when it
 // finishes, so up to maxJobRecords finished records pin nothing of the
 // compiles behind them (TestFinishedJobHoldsNoInputs).

@@ -6,18 +6,18 @@
 // Design in one paragraph: a POST materializes the request into a
 // (network, config, key) spec, probes the cache — a hit answers
 // immediately with the stored payload, bit-identical to what a fresh
-// compile would produce — and otherwise goes through the admission
-// batcher, which coalesces identical submissions onto one in-flight
-// compile (a single-flight table keyed by the content address, see
-// flight.go): the first submission of a key leads and occupies a queue
-// slot, later ones attach as followers at zero queue cost, and all finish
-// with the same bit-identical payload. Admitted leaders land on one of
-// two priority queues (interactive jumps batch) drained by a fixed pool
-// of worker goroutines. Each compile runs under a flight-owned
-// context.Context with reference-counted interest: DELETE /v1/jobs/{id}
-// or a disconnected ?wait=1 caller withdraws one submission, and the
-// compile aborts only when the last interested waiter is gone. Drain
-// stops intake, lets the queues run dry, and optionally cancels
+// compile would produce — and otherwise is admitted on its own request
+// goroutine under the server lock (admit.go), which coalesces identical
+// submissions onto one in-flight compile (a single-flight table keyed by
+// the content address, see flight.go): the first submission of a key
+// leads and occupies a queue slot, later ones attach as followers at zero
+// queue cost, and all finish with the same bit-identical payload. Admitted
+// leaders land on one of two priority queues (interactive jumps batch)
+// drained by a fixed pool of worker goroutines. Each compile runs under a
+// flight-owned context.Context with reference-counted interest: DELETE
+// /v1/jobs/{id} or a disconnected ?wait=1 caller withdraws one submission,
+// and the compile aborts only when the last interested waiter is gone.
+// Drain stops intake, lets the queues run dry, and optionally cancels
 // stragglers when its context expires — cmd/autoncsd wires SIGTERM to it.
 package server
 
@@ -56,12 +56,6 @@ type Options struct {
 	// (Config.Workers); 0 divides the CPUs evenly across the slots. The
 	// compiled results are identical for any value.
 	CompileWorkers int
-	// AdmitBatch is the admission batcher's maximum batch size; 0 means 16.
-	AdmitBatch int
-	// AdmitWindow is how long the batcher waits to fill a batch after the
-	// first submission arrives; 0 means 2ms. Admission latency is bounded
-	// by this window, negligible against any compile.
-	AdmitWindow time.Duration
 	// DeltaMaxEditRatio is the edit-ratio cutoff for delta recompiles: a
 	// ?base= submission whose edit set touches more than this fraction of
 	// the base's connections falls back to a full compile. 0 means the
@@ -100,8 +94,6 @@ type Server struct {
 	slots          int
 	queueDepth     int
 	compileWorkers int
-	admitBatch     int
-	admitWait      time.Duration
 	deltaMaxRatio  float64
 	cache          *cache.Store
 	log            *slog.Logger
@@ -119,21 +111,13 @@ type Server struct {
 	workers      sync.WaitGroup
 	start        time.Time
 
-	admitCh   chan *admitReq
-	admitMu   sync.RWMutex // write-locked once, when intake stops for good
-	stopAdmit chan struct{}
-	stopOnce  sync.Once
-	aux       sync.WaitGroup // the admission batcher goroutine
-
-	mu           sync.Mutex
-	draining     bool
-	admitStopped bool // guarded by admitMu, not mu
-	queuedJobs   int  // leaders admitted to either queue, not yet picked up
-	admitRounds  int64
-	flights      map[cache.Key]*flight
-	jobs         map[string]*job
-	order        []string // job ids oldest-first, for record eviction
-	seq          int64
+	mu         sync.Mutex
+	draining   bool
+	queuedJobs int // leaders admitted to either queue, not yet picked up
+	flights    map[cache.Key]*flight
+	jobs       map[string]*job
+	order      []string // job ids oldest-first, for record eviction
+	seq        int64
 
 	inflight       atomic.Int64
 	accepted       atomic.Int64
@@ -158,8 +142,7 @@ const maxRequestBody = 32 << 20
 // drainRetryAfter is the Retry-After hint on 503s during shutdown.
 const drainRetryAfter = 10 * time.Second
 
-// New starts a Server: the worker pool and admission batcher are live when
-// New returns.
+// New starts a Server: the worker pool is live when New returns.
 func New(opts Options) (*Server, error) {
 	slots := opts.Slots
 	if slots == 0 {
@@ -184,20 +167,6 @@ func New(opts Options) (*Server, error) {
 		if cw < 1 {
 			cw = 1
 		}
-	}
-	ab := opts.AdmitBatch
-	if ab == 0 {
-		ab = 16
-	}
-	if ab < 0 {
-		return nil, fmt.Errorf("server: negative admit batch %d", ab)
-	}
-	aw := opts.AdmitWindow
-	if aw == 0 {
-		aw = 2 * time.Millisecond
-	}
-	if aw < 0 {
-		return nil, fmt.Errorf("server: negative admit window %v", aw)
 	}
 	dmr := opts.DeltaMaxEditRatio
 	if dmr == 0 {
@@ -235,8 +204,6 @@ func New(opts Options) (*Server, error) {
 		slots:          slots,
 		queueDepth:     depth,
 		compileWorkers: cw,
-		admitBatch:     ab,
-		admitWait:      aw,
 		deltaMaxRatio:  dmr,
 		cache:          store,
 		log:            log,
@@ -246,8 +213,6 @@ func New(opts Options) (*Server, error) {
 		baseCancel:     cancel,
 		qInteractive:   make(chan *flight, depth),
 		qBatch:         make(chan *flight, depth),
-		admitCh:        make(chan *admitReq, 64),
-		stopAdmit:      make(chan struct{}),
 		start:          time.Now(),
 		flights:        make(map[cache.Key]*flight),
 		jobs:           make(map[string]*job),
@@ -255,8 +220,6 @@ func New(opts Options) (*Server, error) {
 	s.compileFn = func(ctx context.Context, sp *compileSpec, workers int, ob obs.Observer) (*autoncs.Result, error) {
 		return sp.run(ctx, workers, ob)
 	}
-	s.aux.Add(1)
-	go s.admitter()
 	s.workers.Add(slots)
 	for i := 0; i < slots; i++ {
 		go s.worker()
@@ -282,7 +245,8 @@ func (s *Server) Handler() http.Handler {
 // expires first, the remaining jobs are cancelled (they terminate as
 // state=cancelled through the flow's context plumbing) and Drain still
 // waits for the workers to unwind before returning ctx's error. Drain is
-// idempotent.
+// idempotent. A submission racing Drain is either admitted before the
+// queues close, and runs, or answered 503 (see admit.go).
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -296,28 +260,14 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
-	var derr error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		s.baseCancel()
 		<-done
-		derr = ctx.Err()
+		return ctx.Err()
 	}
-	s.stopAdmitter()
-	return derr
-}
-
-// stopAdmitter shuts the admission batcher down: no further intake, the
-// channel is flushed with 503s, and the goroutine exits.
-func (s *Server) stopAdmitter() {
-	s.stopOnce.Do(func() {
-		s.admitMu.Lock()
-		s.admitStopped = true
-		s.admitMu.Unlock()
-		close(s.stopAdmit)
-	})
-	s.aux.Wait()
 }
 
 // Close is an immediate Drain: cancel everything, wait for the workers.
@@ -537,12 +487,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ar := &admitReq{spec: spec, priority: priority, submitted: submitted, resp: make(chan admitResult, 1)}
-	if !s.submitAdmit(ar) {
-		s.writeErr(w, http.StatusServiceUnavailable, "draining: not accepting new work", drainRetryAfter)
-		return
-	}
-	res := <-ar.resp
+	res := s.admit(spec, priority, submitted)
 	switch res.kind {
 	case admitRejected:
 		s.writeErr(w, res.code, res.msg, res.retryAfter)
@@ -697,7 +642,6 @@ func (s *Server) snapshotMetrics() client.Metrics {
 	draining := s.draining
 	queued := s.queuedJobs
 	flights := len(s.flights)
-	admitRounds := s.admitRounds
 	s.mu.Unlock()
 	snap := s.metrics.Snapshot()
 	stageSeconds := make(map[string]float64, len(snap.StageTimes))
@@ -716,7 +660,6 @@ func (s *Server) snapshotMetrics() client.Metrics {
 		QueueBatch:       len(s.qBatch),
 		InFlight:         int(s.inflight.Load()),
 		Flights:          flights,
-		AdmitRounds:      admitRounds,
 		JobsAccepted:     s.accepted.Load(),
 		JobsCompleted:    s.completed.Load(),
 		JobsFailed:       s.failed.Load(),

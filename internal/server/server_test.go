@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,6 +285,85 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	if final.State != client.StateCancelled {
 		t.Errorf("straggler ended %s, want cancelled", final.State)
 	}
+}
+
+// TestSubmitRacingDrain: submissions racing Drain each get exactly one
+// answer, accepted (2xx) or 503 — never a hang, a 500, or a dropped
+// connection from a send on a closed queue — and every accepted job is
+// terminal once Drain returns, so no accepted submission is lost.
+func TestSubmitRacingDrain(t *testing.T) {
+	const n = 32
+	req := func(seed int64) client.CompileRequest {
+		r := smallReq(seed)
+		r.SkipPhysical = true
+		return r
+	}
+	sp, err := buildSpec(req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sp.run(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newTestServer(t, Options{Slots: 2, QueueDepth: n})
+	s.compileFn = func(context.Context, *compileSpec, int, obs.Observer) (*autoncs.Result, error) {
+		return res, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	start := make(chan struct{})
+	sts := make([]*client.JobStatus, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			sts[i], errs[i] = c.Compile(ctx, req(int64(i+1)))
+		}(i)
+	}
+	// Drain once a quarter of the submissions are in, so the rest race it.
+	drained := make(chan error, 1)
+	go func() {
+		for s.accepted.Load() < n/4 && ctx.Err() == nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+		drained <- s.Drain(ctx)
+	}()
+	close(start)
+	wg.Wait()
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	accepted := 0
+	for i, err := range errs {
+		if err != nil {
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+				t.Errorf("submission %d: %v, want accepted or 503", i, err)
+			}
+			continue
+		}
+		accepted++
+		j, ok := s.jobByID(sts[i].ID)
+		if !ok {
+			t.Errorf("submission %d: accepted job %s has no record", i, sts[i].ID)
+		} else if !j.terminal() {
+			t.Errorf("submission %d: job %s not terminal after Drain", i, j.id)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsAccepted != int64(accepted) {
+		t.Errorf("jobs_accepted %d, want the %d accepted answers", m.JobsAccepted, accepted)
+	}
+	t.Logf("%d of %d submissions accepted before the drain", accepted, n)
 }
 
 // TestCancelRunningJobLeaksNoGoroutines reuses the PR-3 leak-check
