@@ -2,8 +2,10 @@ package autoncs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -23,31 +25,37 @@ import (
 
 // artifactFormat tags the serialized artifact. Bump it when the layout or
 // the meaning of any stored field changes, so stale cached artifacts are
-// rejected instead of misread.
-const artifactFormat = "autoncs-artifact/v2"
+// rejected instead of misread, and bump the cache key's domain tag
+// (CanonicalHash) with it. A result cached under an unchanged key stays a
+// cache hit, and a hit never runs a compile, so its artifact would never be
+// rewritten in the new format: every delta against that base would be
+// refused as base_artifact_missing, and recompiling the base (the
+// documented recovery) would only hit the cache again.
+const artifactFormat = "autoncs-artifact/v3"
 
+// artifactJSON is the artifact's envelope: the format tag and config vector
+// as JSON strings, and three packed sections that encoding/json carries as
+// base64 strings. The sections are sequences of encoding/binary varints
+// (uvarint unless marked) and IEEE-754 float64 bits, 8 bytes little-endian:
+//
+//	assignment: N, Total, then the crossbar count and each crossbar as
+//	            Size, input count, inputs, output count, outputs,
+//	            connection count, (from, to) pairs; then the synapse
+//	            count and (from, to) pairs
+//	placement:  the cell count, each cell's x and y as float64, then
+//	            MinX, MinY, MaxX, MaxY and HPWL as float64
+//	routing:    FinalCapacity, the path count, then each path as its bin
+//	            count, its first bin and each next bin as a zigzag varint
+//	            step from the one before
+//
+// Wire lengths are not stored: Restore derives each from its path by the
+// router's own rule (route.PathLength), so they cannot disagree with it.
 type artifactJSON struct {
-	Format       string          `json:"format"`
-	ConfigVector string          `json:"config_vector"`
-	Assignment   json.RawMessage `json:"assignment"`
-	Placement    *placementJSON  `json:"placement,omitempty"`
-	Routing      *routingJSON    `json:"routing,omitempty"`
-}
-
-type placementJSON struct {
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
-	MinX float64   `json:"min_x"`
-	MinY float64   `json:"min_y"`
-	MaxX float64   `json:"max_x"`
-	MaxY float64   `json:"max_y"`
-	HPWL float64   `json:"hpwl"`
-}
-
-type routingJSON struct {
-	FinalCapacity int       `json:"final_capacity"`
-	Paths         [][]int   `json:"paths"`
-	WireLength    []float64 `json:"wire_length"`
+	Format       string `json:"format"`
+	ConfigVector string `json:"config_vector"`
+	Assignment   []byte `json:"assignment"`
+	Placement    []byte `json:"placement,omitempty"`
+	Routing      []byte `json:"routing,omitempty"`
 }
 
 // EncodeArtifact serializes the resumable portion of a compile result,
@@ -60,28 +68,14 @@ func EncodeArtifact(res *Result, cfg Config) ([]byte, error) {
 	if res == nil || res.Assignment == nil {
 		return nil, fmt.Errorf("autoncs: encoding artifact of a result with no assignment")
 	}
-	var ab bytes.Buffer
-	if err := res.Assignment.WriteJSON(&ab); err != nil {
-		return nil, fmt.Errorf("autoncs: encoding artifact assignment: %w", err)
-	}
 	art := artifactJSON{
 		Format:       artifactFormat,
 		ConfigVector: ConfigVectorHashHex(cfg),
-		Assignment:   json.RawMessage(ab.Bytes()),
+		Assignment:   packAssignment(res.Assignment),
 	}
 	if res.Placement != nil && res.Routing != nil {
-		pl := res.Placement
-		art.Placement = &placementJSON{
-			X: pl.X, Y: pl.Y,
-			MinX: pl.MinX, MinY: pl.MinY, MaxX: pl.MaxX, MaxY: pl.MaxY,
-			HPWL: pl.HPWL,
-		}
-		rt := res.Routing
-		art.Routing = &routingJSON{
-			FinalCapacity: rt.FinalCapacity,
-			Paths:         rt.Paths,
-			WireLength:    rt.WireLength,
-		}
+		art.Placement = packPlacement(res.Placement)
+		art.Routing = packRouting(res.Routing)
 	}
 	data, err := json.Marshal(art)
 	if err != nil {
@@ -101,12 +95,16 @@ type Artifact struct {
 	// Assignment is the hybrid mapping.
 	Assignment *Assignment
 	// Placement and Routing are the physical-design artifacts, nil when the
-	// producing compile ran with SkipPhysical.
+	// producing compile ran with SkipPhysical. Routing carries the final
+	// capacity and the paths; Restore derives the rest.
 	Placement *Placement
 	Routing   *Routing
 }
 
-// DecodeArtifact parses an artifact produced by EncodeArtifact.
+// DecodeArtifact parses an artifact produced by EncodeArtifact. Every count
+// is checked against the bytes left in its section before anything is
+// sized by it, so a short artifact cannot make the decode allocate for a
+// large claim.
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	var art artifactJSON
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -120,7 +118,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if len(art.ConfigVector) != 64 {
 		return nil, fmt.Errorf("autoncs: artifact config vector %q is not a sha256 hex digest", art.ConfigVector)
 	}
-	a, err := xbar.ReadJSON(bytes.NewReader(art.Assignment))
+	a, err := unpackAssignment(art.Assignment)
 	if err != nil {
 		return nil, fmt.Errorf("autoncs: decoding artifact assignment: %w", err)
 	}
@@ -128,30 +126,219 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("autoncs: artifact assignment: %w", err)
 	}
 	out := &Artifact{ConfigVector: art.ConfigVector, Assignment: a}
-	if (art.Placement == nil) != (art.Routing == nil) {
+	if (len(art.Placement) == 0) != (len(art.Routing) == 0) {
 		return nil, fmt.Errorf("autoncs: artifact carries placement xor routing; both or neither required")
 	}
-	if art.Placement != nil {
-		p := art.Placement
-		if len(p.X) != len(p.Y) {
-			return nil, fmt.Errorf("autoncs: artifact placement has %d x, %d y coordinates", len(p.X), len(p.Y))
+	if len(art.Placement) > 0 {
+		if out.Placement, err = unpackPlacement(art.Placement); err != nil {
+			return nil, fmt.Errorf("autoncs: decoding artifact placement: %w", err)
 		}
-		out.Placement = &Placement{
-			X: p.X, Y: p.Y,
-			MinX: p.MinX, MinY: p.MinY, MaxX: p.MaxX, MaxY: p.MaxY,
-			HPWL: p.HPWL,
-		}
-		r := art.Routing
-		if len(r.Paths) != len(r.WireLength) {
-			return nil, fmt.Errorf("autoncs: artifact routing has %d paths, %d wire lengths", len(r.Paths), len(r.WireLength))
-		}
-		out.Routing = &Routing{
-			FinalCapacity: r.FinalCapacity,
-			Paths:         r.Paths,
-			WireLength:    r.WireLength,
+		if out.Routing, err = unpackRouting(art.Routing); err != nil {
+			return nil, fmt.Errorf("autoncs: decoding artifact routing: %w", err)
 		}
 	}
 	return out, nil
+}
+
+// packer appends the fields of an artifact section.
+type packer []byte
+
+func (p *packer) uint(v int) { *p = binary.AppendUvarint(*p, uint64(v)) }
+
+func (p *packer) float(f float64) { *p = binary.LittleEndian.AppendUint64(*p, math.Float64bits(f)) }
+
+func (p *packer) ids(ids []int) {
+	p.uint(len(ids))
+	for _, v := range ids {
+		p.uint(v)
+	}
+}
+
+func (p *packer) edges(es []graph.Edge) {
+	p.uint(len(es))
+	for _, e := range es {
+		p.uint(e.From)
+		p.uint(e.To)
+	}
+}
+
+func packAssignment(a *Assignment) []byte {
+	var p packer
+	p.uint(a.N)
+	p.uint(a.Total)
+	p.uint(len(a.Crossbars))
+	for _, cb := range a.Crossbars {
+		p.uint(cb.Size)
+		p.ids(cb.Inputs)
+		p.ids(cb.Outputs)
+		p.edges(cb.Conns)
+	}
+	p.edges(a.Synapses)
+	return p
+}
+
+func packPlacement(pl *Placement) []byte {
+	p := make(packer, 0, 16*len(pl.X)+48)
+	p.uint(len(pl.X))
+	for i := range pl.X {
+		p.float(pl.X[i])
+		p.float(pl.Y[i])
+	}
+	for _, f := range [...]float64{pl.MinX, pl.MinY, pl.MaxX, pl.MaxY, pl.HPWL} {
+		p.float(f)
+	}
+	return p
+}
+
+func packRouting(rt *Routing) []byte {
+	var p packer
+	p.uint(rt.FinalCapacity)
+	p.uint(len(rt.Paths))
+	for _, path := range rt.Paths {
+		p.uint(len(path))
+		for i, b := range path {
+			if i == 0 {
+				p.uint(b)
+			} else {
+				p = binary.AppendVarint(p, int64(b-path[i-1]))
+			}
+		}
+	}
+	return p
+}
+
+// unpacker reads the fields of an artifact section. The first malformed
+// field sets err and empties the section, so every later read returns zero
+// and every later count is 0: a decode checks err once, at the end.
+type unpacker struct {
+	b   []byte
+	err error
+}
+
+func (u *unpacker) fail(err error) int {
+	if u.err == nil {
+		u.err = err
+	}
+	u.b = nil
+	return 0
+}
+
+// uint reads a uvarint that fits an int32: a count, a size, a neuron id or
+// a first bin.
+func (u *unpacker) uint() int {
+	v, n := binary.Uvarint(u.b)
+	switch {
+	case n <= 0:
+		return u.fail(fmt.Errorf("truncated varint"))
+	case v > math.MaxInt32:
+		return u.fail(fmt.Errorf("value %d exceeds int32", v))
+	}
+	u.b = u.b[n:]
+	return int(v)
+}
+
+// count reads the length of a list whose items take at least size bytes
+// each, refusing one the rest of the section could not hold.
+func (u *unpacker) count(size int) int {
+	c := u.uint()
+	if c > len(u.b)/size {
+		return u.fail(fmt.Errorf("count %d exceeds the %d bytes left", c, len(u.b)))
+	}
+	return c
+}
+
+// next reads a path step and returns the bin it leads to from prev, which
+// fits an int32: a sum that overflows int64 wraps far outside int32 and is
+// refused with the rest.
+func (u *unpacker) next(prev int) int {
+	d, n := binary.Varint(u.b)
+	if n <= 0 {
+		return u.fail(fmt.Errorf("truncated varint"))
+	}
+	b := int64(prev) + d
+	if b < math.MinInt32 || b > math.MaxInt32 {
+		return u.fail(fmt.Errorf("path bin %d exceeds int32", b))
+	}
+	u.b = u.b[n:]
+	return int(b)
+}
+
+func (u *unpacker) float() float64 {
+	if len(u.b) < 8 {
+		u.fail(fmt.Errorf("truncated float"))
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(u.b))
+	u.b = u.b[8:]
+	return f
+}
+
+func (u *unpacker) ids() []int {
+	ids := make([]int, u.count(1))
+	for i := range ids {
+		ids[i] = u.uint()
+	}
+	return ids
+}
+
+func (u *unpacker) edges() []graph.Edge {
+	es := make([]graph.Edge, u.count(2))
+	for i := range es {
+		es[i] = graph.Edge{From: u.uint(), To: u.uint()}
+	}
+	return es
+}
+
+// done returns the section's first error, or refuses bytes left over.
+func (u *unpacker) done() error {
+	if u.err == nil && len(u.b) > 0 {
+		u.err = fmt.Errorf("%d trailing bytes", len(u.b))
+	}
+	return u.err
+}
+
+func unpackAssignment(b []byte) (*Assignment, error) {
+	u := unpacker{b: b}
+	a := &Assignment{N: u.uint(), Total: u.uint()}
+	a.Crossbars = make([]xbar.Crossbar, u.count(4))
+	for k := range a.Crossbars {
+		cb := &a.Crossbars[k]
+		cb.Size = u.uint()
+		cb.Inputs = u.ids()
+		cb.Outputs = u.ids()
+		cb.Conns = u.edges()
+	}
+	a.Synapses = u.edges()
+	return a, u.done()
+}
+
+func unpackPlacement(b []byte) (*Placement, error) {
+	u := unpacker{b: b}
+	n := u.count(16)
+	pl := &Placement{X: make([]float64, n), Y: make([]float64, n)}
+	for i := range pl.X {
+		pl.X[i], pl.Y[i] = u.float(), u.float()
+	}
+	pl.MinX, pl.MinY, pl.MaxX, pl.MaxY, pl.HPWL = u.float(), u.float(), u.float(), u.float(), u.float()
+	return pl, u.done()
+}
+
+func unpackRouting(b []byte) (*Routing, error) {
+	u := unpacker{b: b}
+	rt := &Routing{FinalCapacity: u.uint()}
+	rt.Paths = make([][]int, u.count(1))
+	for w := range rt.Paths {
+		path := make([]int, u.count(1))
+		for i := range path {
+			if i == 0 {
+				path[i] = u.uint()
+			} else {
+				path[i] = u.next(path[i-1])
+			}
+		}
+		rt.Paths[w] = path
+	}
+	return rt, u.done()
 }
 
 // checkAssignment verifies that a decoded assignment is a valid mapping of
@@ -167,7 +354,11 @@ func checkAssignment(a *Assignment) error {
 		return fmt.Errorf("%d neurons exceed the %d-neuron cap", a.N, graph.MaxLoadNeurons)
 	}
 	inRange := func(i int) bool { return i >= 0 && i < a.N }
-	covered := make(map[graph.Edge]bool)
+	edges := len(a.Synapses)
+	for _, cb := range a.Crossbars {
+		edges += len(cb.Conns)
+	}
+	covered := make(map[graph.Edge]bool, edges)
 	cover := func(e graph.Edge) error {
 		if !inRange(e.From) || !inRange(e.To) {
 			return fmt.Errorf("connection %d→%d names a neuron outside 0..%d", e.From, e.To, a.N-1)
@@ -219,11 +410,12 @@ func checkAssignment(a *Assignment) error {
 // from the placement box and cfg.Route.Theta, the routed total and
 // congestion map from the stored paths, and the cost report re-evaluated;
 // all are bit-identical to the original compile's because every one is a
-// deterministic function of the stored state. A box whose grid would
-// exceed route.MaxGridBins is refused before anything is sized by it, and
-// so is a routing the router could not have produced (route.CheckPaths):
-// a path that misses its wire's pins or jumps between non-adjacent bins,
-// or a length that differs from its path's.
+// deterministic function of the stored state. Each wire's length is
+// derived from its path by the router's rule (route.PathLength). A box
+// whose grid would exceed route.MaxGridBins is refused before anything is
+// sized by it, and so is a routing the router could not have produced
+// (route.CheckPaths): a path that misses its wire's pins or jumps between
+// non-adjacent bins.
 func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	res := &Result{Assignment: a.Assignment, Device: cfg.Device}
 	if a.Placement == nil {
@@ -246,6 +438,10 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	if rt.Cols, rt.Rows, ok = route.GridDims(p.Width(), p.Height(), cfg.Route.Theta); !ok {
 		return nil, fmt.Errorf("autoncs: artifact placement box %g×%g µm at θ=%g µm exceeds the %d-bin routing grid cap",
 			p.Width(), p.Height(), cfg.Route.Theta, route.MaxGridBins)
+	}
+	rt.WireLength = make([]float64, len(rt.Paths))
+	for w, path := range rt.Paths {
+		rt.WireLength[w] = route.PathLength(p, nl.Wires[w], path, cfg.Route.Theta)
 	}
 	if err := route.CheckPaths(nl, p, cfg.Route.Theta, rt.Paths, rt.WireLength); err != nil {
 		return nil, fmt.Errorf("autoncs: artifact routing: %w", err)

@@ -1,14 +1,12 @@
 package autoncs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/route"
-	"repro/internal/xbar"
 )
 
 // tinyArtifact compiles an n-neuron network through the full flow and
@@ -28,62 +26,68 @@ func tinyArtifact(tb testing.TB, n int) []byte {
 	return data
 }
 
-// withOversizedBox rewrites an encoded artifact's placement box so that,
-// at the default θ, it spans a 2^31 × 2^31 routing grid.
-func withOversizedBox(tb testing.TB, data []byte) []byte {
+// serveDesign is the serve benchmark workload's session design at seed 7:
+// the paper's Hopfield family scaled to 200 neurons and 10 patterns.
+func serveDesign() *Network {
+	return BuildTestbench(Testbench{M: 10, N: 200, Sparsity: 0.94}, 7)
+}
+
+// editArtifact re-encodes an artifact with its envelope changed by edit.
+func editArtifact(tb testing.TB, data []byte, edit func(*artifactJSON)) []byte {
 	tb.Helper()
 	var art artifactJSON
 	if err := json.Unmarshal(data, &art); err != nil {
 		tb.Fatal(err)
 	}
-	span := DefaultConfig().Route.Theta * (1<<31 - 1)
-	art.Placement.MaxX = art.Placement.MinX + span
-	art.Placement.MaxY = art.Placement.MinY + span
+	edit(&art)
 	out, err := json.Marshal(art)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return out
+}
+
+// withOversizedBox rewrites an encoded artifact's placement box so that,
+// at the default θ, it spans a 2^31 × 2^31 routing grid.
+func withOversizedBox(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	return editArtifact(tb, data, func(art *artifactJSON) {
+		pl, err := unpackPlacement(art.Placement)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		span := DefaultConfig().Route.Theta * (1<<31 - 1)
+		pl.MaxX = pl.MinX + span
+		pl.MaxY = pl.MinY + span
+		art.Placement = packPlacement(pl)
+	})
 }
 
 // withAssignment re-encodes an artifact with its assignment changed by edit.
 func withAssignment(tb testing.TB, data []byte, edit func(*Assignment)) []byte {
 	tb.Helper()
-	var art artifactJSON
-	if err := json.Unmarshal(data, &art); err != nil {
-		tb.Fatal(err)
-	}
-	a, err := xbar.ReadJSON(bytes.NewReader(art.Assignment))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	edit(a)
-	var b bytes.Buffer
-	if err := a.WriteJSON(&b); err != nil {
-		tb.Fatal(err)
-	}
-	art.Assignment = b.Bytes()
-	out, err := json.Marshal(art)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
+	return editArtifact(tb, data, func(art *artifactJSON) {
+		a, err := unpackAssignment(art.Assignment)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		edit(a)
+		art.Assignment = packAssignment(a)
+	})
 }
 
 // withRouting re-encodes an artifact with its routing section changed by
 // edit.
-func withRouting(tb testing.TB, data []byte, edit func(*routingJSON)) []byte {
+func withRouting(tb testing.TB, data []byte, edit func(*Routing)) []byte {
 	tb.Helper()
-	var art artifactJSON
-	if err := json.Unmarshal(data, &art); err != nil {
-		tb.Fatal(err)
-	}
-	edit(art.Routing)
-	out, err := json.Marshal(art)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
+	return editArtifact(tb, data, func(art *artifactJSON) {
+		rt, err := unpackRouting(art.Routing)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		edit(rt)
+		art.Routing = packRouting(rt)
+	})
 }
 
 // TestArtifactRestoreRejectsImpossibleRoutes: a routing the router could
@@ -102,7 +106,7 @@ func TestArtifactRestoreRejectsImpossibleRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unedited artifact rejected: %v", err)
 	}
-	cols, theta := good.Routing.Cols, cfg.Route.Theta
+	cols := good.Routing.Cols
 	adjacent := func(a, b int) bool {
 		dc, dr := a%cols-b%cols, a/cols-b/cols
 		return dc*dc+dr*dr == 1
@@ -121,9 +125,9 @@ func TestArtifactRestoreRejectsImpossibleRoutes(t *testing.T) {
 	path := good.Routing.Paths[w]
 	for _, tc := range []struct {
 		name string
-		edit func(*routingJSON)
+		edit func(*Routing)
 	}{
-		{"teleport", func(r *routingJSON) {
+		{"teleport", func(r *Routing) {
 			// Swap the middle bin for one adjacent to neither neighbour.
 			p := append([]int(nil), path...)
 			for b := 0; ; b++ {
@@ -134,19 +138,17 @@ func TestArtifactRestoreRejectsImpossibleRoutes(t *testing.T) {
 			}
 			r.Paths[w] = p
 		}},
-		{"wrong endpoint", func(r *routingJSON) {
-			// Drop the target bin and shorten the length to match: every
-			// step stays adjacent, but the path stops one bin short.
+		{"wrong endpoint", func(r *Routing) {
+			// Drop the target bin: every step stays adjacent, but the path
+			// stops one bin short.
 			r.Paths[w] = append([]int(nil), path[:len(path)-1]...)
-			r.WireLength[w] = float64(len(path)-2) * theta
 		}},
-		{"off-grid bin", func(r *routingJSON) {
+		{"off-grid bin", func(r *Routing) {
 			p := append([]int(nil), path...)
 			p[1] = -1
 			r.Paths[w] = p
 		}},
-		{"wrong length", func(r *routingJSON) { r.WireLength[w] += theta }},
-		{"missing path", func(r *routingJSON) { r.Paths[w] = nil }},
+		{"missing path", func(r *Routing) { r.Paths[w] = nil }},
 	} {
 		bad, err := DecodeArtifact(withRouting(t, data, tc.edit))
 		if err != nil {
@@ -208,4 +210,42 @@ func FuzzDecodeArtifact(f *testing.F) {
 			t.Fatalf("zero-edit delta of a restored artifact: %v", err)
 		}
 	})
+}
+
+// BenchmarkArtifactCodec times the artifact codec on the serve workload's
+// 200-neuron design: decode (what the daemon pays before admitting each
+// delta), Restore, and encode (what it pays before answering one). Each
+// reports the artifact's size.
+func BenchmarkArtifactCodec(b *testing.B) {
+	cfg := DefaultConfig()
+	res, err := Compile(serveDesign(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := EncodeArtifact(res, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := DecodeArtifact(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"decode", func() error { _, err := DecodeArtifact(data); return err }},
+		{"restore", func() error { _, err := art.Restore(cfg); return err }},
+		{"encode", func() error { _, err := EncodeArtifact(res, cfg); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "artifact_bytes")
+		})
+	}
 }

@@ -2,6 +2,9 @@ package autoncs
 
 import (
 	"bytes"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -221,52 +224,77 @@ func TestCompileDeltaFromSkipPhysical(t *testing.T) {
 }
 
 // TestArtifactRoundTrip: encode → decode → Restore reproduces the compile
-// result exactly, and the encoding itself is byte-deterministic.
+// result exactly, the encoding is byte-deterministic, and re-encoding the
+// restored result reproduces the artifact's bytes (the check the serve
+// benchmark makes on every answer), on a small design and on the serve
+// workload's 200-neuron one. Restored wire lengths, which the artifact
+// derives instead of storing, equal the router's to the bit.
 func TestArtifactRoundTrip(t *testing.T) {
-	net := smallNet()
-	cfg := DefaultConfig()
-	res, err := Compile(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeArtifact(res, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := EncodeArtifact(res, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("artifact encoding is not deterministic")
-	}
-	art, err := DecodeArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.ConfigVector != ConfigVectorHashHex(cfg) {
-		t.Fatalf("config vector %q, want %q", art.ConfigVector, ConfigVectorHashHex(cfg))
-	}
-	got, err := art.Restore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Assignment.Validate(net); err != nil {
-		t.Fatalf("restored assignment invalid: %v", err)
-	}
-	if !placementsEqual(got.Placement, res.Placement) {
-		t.Fatal("restored placement differs")
-	}
-	if !routingsEqual(got.Routing, res.Routing) {
-		t.Fatal("restored routing differs")
-	}
-	if got.Report.Cost != res.Report.Cost || got.Report.Wirelength != res.Report.Wirelength {
-		t.Fatalf("restored report %+v, want %+v", got.Report, res.Report)
-	}
-	for i := range got.Routing.Usage {
-		if got.Routing.Usage[i] != res.Routing.Usage[i] {
-			t.Fatalf("restored usage map differs at bin %d", i)
-		}
+	for _, tc := range []struct {
+		name string
+		net  *Network
+	}{
+		{"small", smallNet()},
+		{"n200", serveDesign()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			res, err := Compile(tc.net, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := EncodeArtifact(res, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data2, err := EncodeArtifact(res, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, data2) {
+				t.Fatal("artifact encoding is not deterministic")
+			}
+			art, err := DecodeArtifact(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if art.ConfigVector != ConfigVectorHashHex(cfg) {
+				t.Fatalf("config vector %q, want %q", art.ConfigVector, ConfigVectorHashHex(cfg))
+			}
+			got, err := art.Restore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Assignment.Validate(tc.net); err != nil {
+				t.Fatalf("restored assignment invalid: %v", err)
+			}
+			if !placementsEqual(got.Placement, res.Placement) || got.Placement.HPWL != res.Placement.HPWL {
+				t.Fatal("restored placement differs")
+			}
+			if !routingsEqual(got.Routing, res.Routing) || got.Routing.FinalCapacity != res.Routing.FinalCapacity {
+				t.Fatal("restored routing differs")
+			}
+			for w, l := range got.Routing.WireLength {
+				if math.Float64bits(l) != math.Float64bits(res.Routing.WireLength[w]) {
+					t.Fatalf("wire %d: restored length %v, routed %v", w, l, res.Routing.WireLength[w])
+				}
+			}
+			if got.Report.Cost != res.Report.Cost || got.Report.Wirelength != res.Report.Wirelength {
+				t.Fatalf("restored report %+v, want %+v", got.Report, res.Report)
+			}
+			for i := range got.Routing.Usage {
+				if got.Routing.Usage[i] != res.Routing.Usage[i] {
+					t.Fatalf("restored usage map differs at bin %d", i)
+				}
+			}
+			again, err := EncodeArtifact(got, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatal("restored result does not re-encode to its artifact's bytes")
+			}
+		})
 	}
 }
 
@@ -346,7 +374,9 @@ func TestArtifactSkipPhysical(t *testing.T) {
 }
 
 // TestDecodeArtifactRejects: malformed artifacts fail loudly, including
-// assignments that decode but are no valid mapping of any network.
+// assignments that decode but are no valid mapping of any network, and
+// packed sections that claim more items than their bytes hold, carry bytes
+// past their last field, or name a value beyond int32.
 func TestDecodeArtifactRejects(t *testing.T) {
 	if _, err := DecodeArtifact([]byte(`{"format":"bogus/v9","config_vector":"x"}`)); err == nil {
 		t.Fatal("bogus format accepted")
@@ -370,6 +400,7 @@ func TestDecodeArtifactRejects(t *testing.T) {
 		}},
 		{"total mismatch", crossbar, func(a *Assignment) { a.Total++ }},
 		{"synapse out of range", synapses, func(a *Assignment) { a.Synapses[0].To = -1 }},
+		{"neuron id above int32", synapses, func(a *Assignment) { a.Synapses[0].From = math.MaxInt32 + 1 }},
 	} {
 		if _, err := DecodeArtifact(withAssignment(t, tc.data, tc.edit)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -377,5 +408,49 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	}
 	if _, err := DecodeArtifact(withAssignment(t, crossbar, func(*Assignment) {})); err != nil {
 		t.Fatalf("unedited re-encoding rejected: %v", err)
+	}
+
+	// claim packs a section's leading fields and then a count of 2^30
+	// items with nothing behind it.
+	claim := func(lead ...int) []byte {
+		var p packer
+		for _, v := range append(lead, 1<<30) {
+			p.uint(v)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*artifactJSON)
+	}{
+		{"crossbar count past the section", "exceeds the", func(a *artifactJSON) { a.Assignment = claim(30, 0) }},
+		{"cell count past the section", "exceeds the", func(a *artifactJSON) { a.Placement = claim() }},
+		{"path count past the section", "exceeds the", func(a *artifactJSON) { a.Routing = claim(8) }},
+		{"bin count past the section", "exceeds the", func(a *artifactJSON) { a.Routing = claim(8, 1) }},
+		{"trailing assignment byte", "trailing", func(a *artifactJSON) { a.Assignment = append(a.Assignment, 0) }},
+		{"trailing placement byte", "trailing", func(a *artifactJSON) { a.Placement = append(a.Placement, 0) }},
+		{"trailing routing byte", "trailing", func(a *artifactJSON) { a.Routing = append(a.Routing, 0) }},
+		{"truncated placement", "truncated", func(a *artifactJSON) { a.Placement = a.Placement[:len(a.Placement)-1] }},
+		{"bin above int32", "int32", func(a *artifactJSON) {
+			rt, err := unpackRouting(a.Routing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Paths[0] = []int{math.MaxInt32 + 1}
+			a.Routing = packRouting(rt)
+		}},
+		{"placement without routing", "xor", func(a *artifactJSON) { a.Routing = nil }},
+	} {
+		bad := editArtifact(t, crossbar, tc.edit)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeArtifact(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(bad), alloc)
+		}
 	}
 }

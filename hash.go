@@ -21,7 +21,9 @@ import (
 // The hash covers, in a fixed canonical order:
 //
 //   - a format/version domain tag (bump it when the flow's semantics
-//     change so stale on-disk caches cannot serve wrong results),
+//     change so stale on-disk caches cannot serve wrong results, and with
+//     every artifact format bump so results and their artifacts retire
+//     together: see artifactFormat),
 //   - the connection matrix (size + row bitsets),
 //   - the crossbar library sizes and every device-model parameter,
 //   - the flow knobs after normalization (below),
@@ -51,7 +53,7 @@ func CanonicalHash(net *Network, cfg Config) ([32]byte, error) {
 		return key, err
 	}
 	h := sha256.New()
-	io.WriteString(h, "autoncs-cache-key/v6\n")
+	io.WriteString(h, "autoncs-cache-key/v7\n")
 	h.Write(net.AppendBinary(nil))
 	writeConfigVector(h, cfg)
 	h.Sum(key[:0])

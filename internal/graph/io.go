@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"unicode"
 	"unicode/utf8"
 )
@@ -30,16 +31,23 @@ const formatHeader = "autoncs-net v1"
 // text edge-list format is practical for.
 const MaxLoadNeurons = 32768
 
-// Write serializes the network in the text edge-list format.
+// Write serializes the network in the text edge-list format. Lines are
+// appended into the buffered writer with no fmt, so writing allocates the
+// same few buffers whatever the edge count (TestWriteAllocsFlat).
 func (c *Conn) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, formatHeader)
-	fmt.Fprintf(bw, "n %d\n", c.n)
-	var buf []int
+	line := make([]byte, 0, 48) // two int64s, a space and a newline
+	line = append(line, formatHeader+"\nn "...)
+	line = strconv.AppendInt(line, int64(c.n), 10)
+	bw.Write(append(line, '\n'))
+	nbrs := make([]int, 0, c.n)
 	for i := 0; i < c.n; i++ {
-		buf = c.RowNeighbors(i, buf[:0])
-		for _, j := range buf {
-			fmt.Fprintf(bw, "%d %d\n", i, j)
+		nbrs = c.RowNeighbors(i, nbrs[:0])
+		for _, j := range nbrs {
+			line = strconv.AppendInt(line[:0], int64(i), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(j), 10)
+			bw.Write(append(line, '\n'))
 		}
 	}
 	return bw.Flush()

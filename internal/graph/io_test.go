@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -135,6 +138,96 @@ func TestReadAllocsFlat(t *testing.T) {
 	}
 	if b > 8 {
 		t.Fatalf("Read allocates %v times per network, want at most 8", b)
+	}
+}
+
+// writeReference is the fmt-based writer Write replaced, kept verbatim as
+// the reference for its output.
+func writeReference(c *Conn, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, formatHeader)
+	fmt.Fprintf(bw, "n %d\n", c.n)
+	var buf []int
+	for i := 0; i < c.n; i++ {
+		buf = c.RowNeighbors(i, buf[:0])
+		for _, j := range buf {
+			fmt.Fprintf(bw, "%d %d\n", i, j)
+		}
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesReference: Write produces the fmt reference's bytes on
+// the io test networks.
+func TestWriteMatchesReference(t *testing.T) {
+	nets := map[string]*Conn{
+		"empty":      NewConn(0),
+		"edgeless":   NewConn(5),
+		"round trip": RandomSparse(70, 0.9, rand.New(rand.NewSource(1))),
+		"file":       RandomSparse(40, 0.88, rand.New(rand.NewSource(2))),
+	}
+	for _, edges := range []int{100, 2400} {
+		c, err := Read(bytes.NewReader(netText(t, 200, edges, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[fmt.Sprintf("200 neurons, %d edges", edges)] = c
+	}
+	for name, c := range nets {
+		var got, want bytes.Buffer
+		if err := c.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeReference(c, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write output differs from the fmt reference", name)
+		}
+	}
+}
+
+// TestWriteAllocsFlat pins that writing allocates the same buffers
+// whatever the edge count: the writer, one line, one neighbour row.
+func TestWriteAllocsFlat(t *testing.T) {
+	parse := func(edges int) *Conn {
+		c, err := Read(bytes.NewReader(netText(t, 200, edges, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	small, large := parse(100), parse(2400)
+	allocs := func(c *Conn) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := c.Write(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(large)
+	if a != b {
+		t.Fatalf("Write allocates %v times for 100 edges and %v for 2400: allocations grow with the edge count", a, b)
+	}
+	if b > 4 {
+		t.Fatalf("Write allocates %v times per network, want at most 4", b)
+	}
+}
+
+// BenchmarkWrite serializes the serving workload's network size: 200
+// neurons, 2,400 edges.
+func BenchmarkWrite(b *testing.B) {
+	data := netText(b, 200, 2400, 1)
+	c, err := Read(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.Write(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

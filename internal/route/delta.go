@@ -90,7 +90,7 @@ func RouteDeltaCtx(ctx context.Context, nl *netlist.Netlist, pl *place.Result, o
 		}
 		res.Paths[wi] = append(res.Paths[wi][:0], path...)
 		rt.g.commit(res.Paths[wi])
-		res.WireLength[wi] = float64(len(path)-1) * opts.Theta
+		res.WireLength[wi] = PathLength(rt.pl, rt.nl.Wires[wi], path, opts.Theta)
 		reused++
 	}
 	// Round 1 routes the dirty wires in paper order; the warm load is

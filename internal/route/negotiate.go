@@ -334,7 +334,7 @@ func (rt *router) negotiate(ctx context.Context, initial []int) error {
 				}
 				res.Expansions += int64(pops[wi])
 				g.commit(path)
-				res.WireLength[wi] = float64(len(path)-1) * opts.Theta
+				res.WireLength[wi] = PathLength(rt.pl, rt.nl.Wires[wi], path, opts.Theta)
 			}
 			obs.Emit(opts.Observer, obs.RouteBatch{
 				Batch:     batchNo,

@@ -490,13 +490,18 @@ type router struct {
 // connection consuming no grid edges.
 func (rt *router) commitSameBin(wi int) {
 	rt.res.Paths[wi] = append(rt.res.Paths[wi][:0], rt.src[wi])
-	rt.res.WireLength[wi] = sameBinLength(rt.pl, rt.nl.Wires[wi], rt.opts.Theta)
+	rt.res.WireLength[wi] = PathLength(rt.pl, rt.nl.Wires[wi], rt.res.Paths[wi], rt.opts.Theta)
 }
 
-// sameBinLength is the routed length of a wire whose terminals share a bin:
-// the physical pin distance, floored at θ/2.
-func sameBinLength(pl *place.Result, w netlist.Wire, theta float64) float64 {
-	return math.Max(math.Abs(pl.X[w.From]-pl.X[w.To])+math.Abs(pl.Y[w.From]-pl.Y[w.To]), theta/2)
+// PathLength is the length the router records for wire w routed along
+// path at bin width theta: θ per step between bins, or, for a one-bin path
+// (both pins in one bin), the physical pin distance floored at θ/2. A
+// routing stored without its lengths derives them by this rule.
+func PathLength(pl *place.Result, w netlist.Wire, path []int, theta float64) float64 {
+	if len(path) == 1 {
+		return math.Max(math.Abs(pl.X[w.From]-pl.X[w.To])+math.Abs(pl.Y[w.From]-pl.Y[w.To]), theta/2)
+	}
+	return float64(len(path)-1) * theta
 }
 
 // CheckPaths verifies a routing of the netlist over the placement at bin
@@ -538,11 +543,7 @@ func CheckPaths(nl *netlist.Netlist, pl *place.Result, theta float64, paths [][]
 				}
 			}
 		}
-		want := float64(len(path)-1) * theta
-		if src == dst {
-			want = sameBinLength(pl, w, theta)
-		}
-		if lengths[wi] != want {
+		if want := PathLength(pl, w, path, theta); lengths[wi] != want {
 			return fmt.Errorf("route: wire %d length %g µm, its path routes %g µm", wi, lengths[wi], want)
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -83,10 +82,11 @@ func (sp *compileSpec) run(ctx context.Context, workers int, ob autoncs.Observer
 // fields marshal in declaration order, map keys sort, and the assignment
 // JSON is a pure function of the assignment — so re-encoding a recomputed
 // Result yields bit-identical bytes, which is what makes cached responses
-// indistinguishable from fresh ones.
+// indistinguishable from fresh ones. The assignment is encoded compact
+// once, the form the payload carries it in.
 func encodeResult(sp *compileSpec, res *autoncs.Result) ([]byte, error) {
-	var asg bytes.Buffer
-	if err := res.Assignment.WriteJSON(&asg); err != nil {
+	asg, err := res.Assignment.CompactJSON()
+	if err != nil {
 		return nil, fmt.Errorf("encoding assignment: %w", err)
 	}
 	hist := map[string]int{}
@@ -104,7 +104,7 @@ func encodeResult(sp *compileSpec, res *autoncs.Result) ([]byte, error) {
 		AvgPreference:  res.Assignment.AvgPreference(),
 		ISCIterations:  len(res.Trace),
 		SizeHistogram:  hist,
-		Assignment:     json.RawMessage(asg.Bytes()),
+		Assignment:     json.RawMessage(asg),
 	}
 	if res.Report != nil {
 		out.Report = &client.Report{

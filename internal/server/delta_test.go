@@ -218,9 +218,9 @@ func TestDeltaBaseArtifactUnusable(t *testing.T) {
 	if !hit {
 		t.Fatal("no artifact cached for the base compile")
 	}
-	stale := bytes.Replace(payload, []byte(`"autoncs-artifact/v2"`), []byte(`"autoncs-artifact/v1"`), 1)
+	stale := bytes.Replace(payload, []byte(`"autoncs-artifact/v3"`), []byte(`"autoncs-artifact/v1"`), 1)
 	if bytes.Equal(stale, payload) {
-		t.Fatal("artifact carries no v2 format tag")
+		t.Fatal("artifact carries no v3 format tag")
 	}
 	if err := s.cache.PutShared(akey, stale); err != nil {
 		t.Fatal(err)

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -274,5 +276,85 @@ func TestDiskBadResultIsAMiss(t *testing.T) {
 	}
 	if stored, _, _ := s.cache.GetDetail(cache.Key(key), nil); !bytes.Equal(onDisk, stored) || !json.Valid(onDisk) {
 		t.Fatal("the compile did not replace the bad disk file")
+	}
+}
+
+// encodeResultTwoStep is encodeResult as it was before the assignment had
+// a compact encoder: WriteJSON indents the assignment, then json.Marshal
+// compacts that RawMessage again. It is the reference the payload bytes
+// must keep.
+func encodeResultTwoStep(sp *compileSpec, res *autoncs.Result) ([]byte, error) {
+	var asg bytes.Buffer
+	if err := res.Assignment.WriteJSON(&asg); err != nil {
+		return nil, fmt.Errorf("encoding assignment: %w", err)
+	}
+	hist := map[string]int{}
+	for size, count := range res.Assignment.SizeHistogram() {
+		hist[strconv.Itoa(size)] = count
+	}
+	out := client.Result{
+		Key:            sp.key.Hex(),
+		Neurons:        sp.net.N(),
+		Connections:    res.Assignment.Total,
+		Crossbars:      len(res.Assignment.Crossbars),
+		Synapses:       len(res.Assignment.Synapses),
+		OutlierRatio:   res.Assignment.OutlierRatio(),
+		AvgUtilization: res.Assignment.AvgUtilization(),
+		AvgPreference:  res.Assignment.AvgPreference(),
+		ISCIterations:  len(res.Trace),
+		SizeHistogram:  hist,
+		Assignment:     json.RawMessage(asg.Bytes()),
+	}
+	if res.Report != nil {
+		out.Report = &client.Report{
+			Wirelength: res.Report.Wirelength,
+			Area:       res.Report.Area,
+			AvgDelay:   res.Report.AvgDelay,
+			MaxDelay:   res.Report.MaxDelay,
+			Cost:       res.Report.Cost,
+			Wires:      res.Report.Wires,
+		}
+	}
+	return json.Marshal(out)
+}
+
+// TestEncodeResultMatchesTwoStep: encoding the assignment compact once
+// yields the payload bytes the two-step reference did, on a one-crossbar
+// design, a synapse-only design and the serve workload's 200-neuron
+// design.
+func TestEncodeResultMatchesTwoStep(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		net       *autoncs.Network
+		crossbars int // -1: any number
+	}{
+		{"one crossbar", autoncs.RandomSparseNetwork(30, 0.9, 3), 1},
+		{"synapses only", autoncs.RandomSparseNetwork(12, 0.9, 3), 0},
+		{"n200", autoncs.BuildTestbench(autoncs.Testbench{M: 10, N: 200, Sparsity: 0.94}, 7), -1},
+	} {
+		cfg := autoncs.DefaultConfig()
+		res, err := autoncs.Compile(tc.net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Assignment.Crossbars); tc.crossbars >= 0 && n != tc.crossbars {
+			t.Fatalf("%s: design has %d crossbars, want %d", tc.name, n, tc.crossbars)
+		}
+		key, err := autoncs.CanonicalHash(tc.net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := &compileSpec{net: tc.net, cfg: cfg, key: cache.Key(key)}
+		got, err := encodeResult(sp, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeResultTwoStep(sp, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: payload differs from the two-step encoding\n got %s\nwant %s", tc.name, got, want)
+		}
 	}
 }

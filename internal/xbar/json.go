@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,8 +30,10 @@ type crossbarJSON struct {
 
 const jsonVersion = 1
 
-// WriteJSON serializes the assignment.
-func (a *Assignment) WriteJSON(w io.Writer) error {
+// CompactJSON returns the assignment's JSON document with no insignificant
+// whitespace: the form a result payload embeds. WriteJSON writes the same
+// document indented.
+func (a *Assignment) CompactJSON() ([]byte, error) {
 	out := assignmentJSON{Version: jsonVersion, N: a.N, Total: a.Total}
 	for _, cb := range a.Crossbars {
 		cj := crossbarJSON{
@@ -42,9 +45,22 @@ func (a *Assignment) WriteJSON(w io.Writer) error {
 		out.Crossbars = append(out.Crossbars, cj)
 	}
 	out.Synapses = edgesToPairs(a.Synapses)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return json.Marshal(out)
+}
+
+// WriteJSON serializes the assignment as a file holds it: CompactJSON's
+// document indented one space per level, ending in a newline.
+func (a *Assignment) WriteJSON(w io.Writer) error {
+	data, err := a.CompactJSON()
+	if err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	if err := json.Indent(&b, append(data, '\n'), "", " "); err != nil {
+		return err
+	}
+	_, err = w.Write(b.Bytes())
+	return err
 }
 
 // ReadJSON parses an assignment previously written by WriteJSON.

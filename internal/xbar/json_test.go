@@ -1,6 +1,9 @@
 package xbar
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -65,5 +68,60 @@ func TestAssignmentJSONFile(t *testing.T) {
 	}
 	if _, err := LoadJSON(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// writeJSONReference is WriteJSON as it was before CompactJSON existed:
+// one json.Encoder pass with SetIndent. It is the reference for the file
+// format.
+func writeJSONReference(a *Assignment, w io.Writer) error {
+	out := assignmentJSON{Version: jsonVersion, N: a.N, Total: a.Total}
+	for _, cb := range a.Crossbars {
+		cj := crossbarJSON{
+			Size:    cb.Size,
+			Inputs:  cb.Inputs,
+			Outputs: cb.Outputs,
+			Conns:   edgesToPairs(cb.Conns),
+		}
+		out.Crossbars = append(out.Crossbars, cj)
+	}
+	out.Synapses = edgesToPairs(a.Synapses)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(out)
+}
+
+// TestAssignmentJSONMatchesReference: WriteJSON writes the reference's
+// bytes, so saved files do not change, and CompactJSON is the same
+// document with its whitespace removed.
+func TestAssignmentJSONMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, a := range map[string]*Assignment{
+		"empty":         {N: 3},
+		"synapses only": {N: 4, Total: 2, Synapses: []graph.Edge{{From: 0, To: 1}, {From: 2, To: 3}}},
+		"nil sides":     {N: 2, Crossbars: []Crossbar{{Size: 4}}},
+		"fullcro":       FullCro(graph.RandomSparse(80, 0.92, rng), DefaultLibrary()),
+	} {
+		var ref, got bytes.Buffer
+		if err := writeJSONReference(a, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: WriteJSON\n%s\nreference\n%s", name, got.Bytes(), ref.Bytes())
+		}
+		compact, err := a.CompactJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, ref.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact, want.Bytes()) {
+			t.Errorf("%s: CompactJSON %s, want %s", name, compact, want.Bytes())
+		}
 	}
 }
