@@ -8,7 +8,7 @@ BENCH_NEW ?= bench_new.txt
 # -benchtime=1x; raise the count for tighter confidence intervals.
 BENCH_COUNT ?= 6
 
-.PHONY: all build vet test test-race lint fuzz serve e2e e2e-fleet bench bench-save bench-compare bench-large bench-selftest golden-update loc clean
+.PHONY: all build vet test test-race lint fuzz serve e2e bench bench-save bench-compare bench-large bench-selftest golden-update loc clean
 
 all: build vet test
 
@@ -52,13 +52,8 @@ e2e:
 	$(GO) build -o /tmp/autoncsd ./cmd/autoncsd
 	AUTONCSD_BIN=/tmp/autoncsd $(GO) test -v -timeout 15m -run TestDaemon ./cmd/autoncsd/
 
-# The three-daemon fleet suite — peer cache hits across daemons, ring
-# failover when the owner is killed (CI's fleet-e2e job runs the same).
-e2e-fleet:
-	$(GO) build -o /tmp/autoncsd ./cmd/autoncsd
-	AUTONCSD_BIN=/tmp/autoncsd $(GO) test -v -timeout 15m -run TestFleet ./cmd/autoncsd/
-
-# -short skips the 2000-neuron benchmarks (minutes per op); see bench-large.
+# -short skips the 2000-neuron benchmarks (BenchmarkCompile2000 takes
+# minutes per op); see bench-large.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 

@@ -180,7 +180,7 @@ func TestArtifactOversizedGridRejected(t *testing.T) {
 // also survive a zero-edit CompileDeltaCtx, which commits its paths as
 // warm routes: no panic, and any result it returns routes every wire over
 // adjacent bins between its pins. Artifacts reach the daemon from its disk
-// cache and from fleet peers, so both are untrusted input.
+// cache, so they are untrusted input.
 func FuzzDecodeArtifact(f *testing.F) {
 	crossbar := tinyArtifact(f, 30)
 	f.Add(crossbar)

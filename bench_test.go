@@ -8,6 +8,7 @@
 package autoncs_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -100,7 +101,7 @@ func BenchmarkFigure5Iteration(b *testing.B) {
 func BenchmarkFigure6ISC(b *testing.B) {
 	var final float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure56(benchN, benchSeed, false)
+		res, err := experiments.Figure56Ctx(context.Background(), benchN, benchSeed, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func benchmarkFigureISC(b *testing.B, id int) {
 	var a *experiments.ISCAnalysis
 	for i := 0; i < b.N; i++ {
 		var err error
-		a, err = experiments.FigureISC(benchTB(id), benchSeed)
+		a, err = experiments.FigureISCCtx(context.Background(), benchTB(id), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkFigure10Placement(b *testing.B) {
 	var res *experiments.Figure10Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Figure10(benchTB(3), benchSeed)
+		res, err = experiments.Figure10Ctx(context.Background(), benchTB(3), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func benchmarkTable1(b *testing.B, id int) {
 	var row *experiments.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		row, err = experiments.Table1Bench(benchTB(id), benchSeed)
+		row, err = experiments.Table1BenchCtx(context.Background(), benchTB(id), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,22 +368,6 @@ func BenchmarkFidelity(b *testing.B) {
 	b.ReportMetric(rate, "hw_recognition")
 }
 
-// BenchmarkSparsitySweep exercises ISC across sparsity regimes (an
-// extension experiment: the sparser the network, the less of it belongs in
-// crossbars). Reported metrics: synapse share at 90% and 99% sparsity.
-func BenchmarkSparsitySweep(b *testing.B) {
-	var pts []experiments.SparsityPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.SparsitySweep(120, []float64{0.90, 0.99}, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(pts[0].SynapseShare, "synapse_share_s90")
-	b.ReportMetric(pts[1].SynapseShare, "synapse_share_s99")
-}
-
 // workerCounts returns the pool sizes the parallel benchmarks compare:
 // the serial baseline and the machine's full width. On a 1-CPU runner the
 // two coincide and the comparison is a no-op by construction.
@@ -438,9 +423,9 @@ func BenchmarkCompileClusterOnlyParallel(b *testing.B) {
 // BenchmarkCompile2000 is the large-scale testbench: a cluster-only
 // compile of a 2000-neuron sparse network, the regime the paper's
 // introduction motivates (4000+-input deep networks). A single iteration
-// takes minutes of CPU time (a lone GCP pass at this size measures
-// ~1 min/op on one core), so the benchmark is opt-out via -short — the
-// Makefile's `bench` target skips it and `bench-large` runs it.
+// takes minutes (about 3.4 min at workers=1 on a 2-vCPU Xeon), so the
+// benchmark is opt-out via -short — the Makefile's `bench` target skips it
+// and `bench-large` runs it.
 func BenchmarkCompile2000(b *testing.B) {
 	if testing.Short() {
 		b.Skip("minutes per op; run via `make bench-large`")
@@ -465,7 +450,7 @@ func BenchmarkCompile2000(b *testing.B) {
 // the kernel that dominates BenchmarkCompile2000 — across pool sizes.
 func BenchmarkGCP2000Parallel(b *testing.B) {
 	if testing.Short() {
-		b.Skip("minutes per op; run via `make bench-large`")
+		b.Skip("about 8 s per op; run via `make bench-large`")
 	}
 	rng := rand.New(rand.NewSource(benchSeed))
 	cm := graph.RandomClustered(2000, 50, 0.2, 0.0005, rng)

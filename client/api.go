@@ -115,11 +115,6 @@ type JobStatus struct {
 	// in-flight compile of the same key instead of queueing its own; the
 	// result bytes are identical either way.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Peer is the base URL of the fleet peer whose cache answered this job,
-	// set exactly when the payload was fetched from a remote member's cache
-	// (Cached is also true then). Empty for local cache hits and fresh
-	// compiles.
-	Peer string `json:"peer,omitempty"`
 	// Priority is the scheduling class the job ran under.
 	Priority string `json:"priority,omitempty"`
 	// Error is set when State is failed or cancelled.
@@ -219,22 +214,9 @@ type Metrics struct {
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
 
-	// Fleet counters, all zero on a daemon running without -peers. Peers is
-	// the configured membership including this daemon; PeersAlive is the
-	// members currently in the ring (self plus every remote whose circuit
-	// breaker is closed). PeerHits counts local misses answered from a
-	// peer's cache, PeerMisses healthy-peer "not cached" answers, and
-	// PeerErrors lookups that failed after their retries.
-	Peers      int   `json:"peers,omitempty"`
-	PeersAlive int   `json:"peers_alive,omitempty"`
-	PeerHits   int64 `json:"peer_hits,omitempty"`
-	PeerMisses int64 `json:"peer_misses,omitempty"`
-	PeerErrors int64 `json:"peer_errors,omitempty"`
-
 	// RetryAfterSeconds is the daemon's current Retry-After estimate — the
 	// value a 429 rejection would carry right now, derived from the last
-	// terminal compile's duration. Shard-aware clients use it to surface
-	// the owner's backpressure estimate instead of a forwarder's guess.
+	// terminal compile's duration.
 	RetryAfterSeconds float64 `json:"retry_after_seconds"`
 
 	// Compiles and StageSeconds aggregate the flow's own observer stream
@@ -289,7 +271,7 @@ type DeltaSummary struct {
 // time went (admission wait, queue wait, compile run) and how it was
 // answered (fresh compile, coalesced, or cache hit). Every field is a
 // scalar so a stream of these dumps straight into CSV — see CSVRecord —
-// for fleet-level serving-latency analysis.
+// for offline serving-latency analysis.
 type RequestTiming struct {
 	Job       string `json:"job"`
 	Key       string `json:"key"`
@@ -344,7 +326,9 @@ const (
 	// CodeBaseArtifactMissing: the ?base= key has no usable cached artifact
 	// on the daemon (the base compile never ran here, its artifact was
 	// evicted, or it was stored in a format this daemon no longer reads).
-	// Recover by recompiling the base in full. HTTP 404.
+	// Recover by recompiling the base in full: the daemon drops the base's
+	// cached result along with the 404, so the recompile really runs and
+	// stores a fresh artifact. HTTP 404.
 	CodeBaseArtifactMissing = "base_artifact_missing"
 	// CodeBaseConfigMismatch: the base compile ran under a different config
 	// vector than the delta request, so its artifact cannot seed this

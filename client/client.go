@@ -43,17 +43,9 @@ type APIError struct {
 	// Code* constants), empty on errors the status code fully describes.
 	Code       string
 	RetryAfter time.Duration // parsed Retry-After on 429/503, else 0
-	// Peer is the base URL of the daemon that produced this error, set by
-	// fleet routing (empty on a single-daemon Client). On a 429 it
-	// attributes the RetryAfter estimate to the owning shard — the number
-	// is the owner's own backlog estimate, not a forwarder's guess.
-	Peer string
 }
 
 func (e *APIError) Error() string {
-	if e.Peer != "" {
-		return fmt.Sprintf("autoncsd %s: %d %s: %s", e.Peer, e.Status, http.StatusText(e.Status), e.Message)
-	}
 	return fmt.Sprintf("autoncsd: %d %s: %s", e.Status, http.StatusText(e.Status), e.Message)
 }
 
@@ -264,8 +256,8 @@ func apiError(resp *http.Response, body []byte) error {
 		e.Message = strings.TrimSpace(string(body))
 	}
 	// Retry-After comes in two RFC 9110 forms: delta-seconds (what
-	// autoncsd emits) and an HTTP-date (what proxies in front of a fleet
-	// may rewrite it to). Parse both so the estimate survives either path.
+	// autoncsd emits) and an HTTP-date (what a proxy in front of it may
+	// rewrite it to). Parse both so the estimate survives either path.
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
 			e.RetryAfter = time.Duration(secs) * time.Second

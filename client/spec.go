@@ -13,10 +13,9 @@ import (
 // Spec is a materialized CompileRequest: the network the request
 // describes, the full flow configuration, and the content address the
 // service caches the result under. It is the single authority on how a
-// wire request maps onto a compile — the server builds its job specs
-// through it, and the shard-aware Fleet client routes submissions by the
-// same Key, so client-side routing and server-side caching can never
-// derive different addresses for the same request.
+// wire request maps onto a compile: the server builds its job specs
+// through it, so a client that calls Spec derives the same address the
+// daemon caches under.
 type Spec struct {
 	// Net is the materialized network (parsed, generated, or built from a
 	// testbench, exactly as the daemon would).
@@ -60,8 +59,7 @@ const artifactKeyDomain = "autoncs-artifact/v1\n"
 
 // DeltaKey derives the content address of a delta recompile: the request's
 // plain key pushed into the delta domain together with the base compile's
-// result key. Shard-aware clients route delta submissions by this key, and
-// the daemon caches delta results under it, so the two can never disagree.
+// result key. The daemon caches delta results under it.
 func DeltaKey(base, key [32]byte) [32]byte {
 	buf := make([]byte, 0, len(deltaKeyDomain)+64)
 	buf = append(buf, deltaKeyDomain...)
@@ -78,8 +76,8 @@ func ArtifactKey(key [32]byte) [32]byte {
 
 // Spec materializes the request. maxNeurons bounds the network size a
 // caller is willing to build (the daemon passes its service limit); 0
-// means unbounded — the Fleet client routes requests it has no reason to
-// police. Every failure is a request error (the daemon answers it 400).
+// means unbounded. Every failure is a request error (the daemon answers it
+// 400).
 func (r CompileRequest) Spec(maxNeurons int) (*Spec, error) {
 	sources := 0
 	for _, set := range []bool{r.Net != "", r.Random != nil, r.Testbench != 0} {
@@ -158,14 +156,4 @@ func (r CompileRequest) Spec(maxNeurons int) (*Spec, error) {
 		sp.Key = DeltaKey(sp.Base, key)
 	}
 	return sp, nil
-}
-
-// CacheKey derives the request's content address without keeping the
-// materialized network around — the routing form of Spec.
-func (r CompileRequest) CacheKey() ([32]byte, error) {
-	sp, err := r.Spec(0)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sp.Key, nil
 }

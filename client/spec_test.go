@@ -71,7 +71,7 @@ func TestSpecFullCroDisjointKeyDomain(t *testing.T) {
 }
 
 // TestSpecValidation covers the request errors, including the difference
-// between bounded (server) and unbounded (client routing) materialization.
+// between bounded (server) and unbounded materialization.
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -94,25 +94,5 @@ func TestSpecValidation(t *testing.T) {
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err=%v, wantErr=%t", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-// TestCacheKeyMatchesSpec: the routing shortcut and the full
-// materialization agree.
-func TestCacheKeyMatchesSpec(t *testing.T) {
-	req := specReq(7)
-	sp, err := req.Spec(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := req.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != sp.Key {
-		t.Fatal("CacheKey disagrees with Spec().Key")
-	}
-	if _, err := (CompileRequest{}).CacheKey(); err == nil {
-		t.Fatal("CacheKey accepted an empty request")
 	}
 }

@@ -11,15 +11,6 @@
 //	autoncsd -addr 127.0.0.1:0         # ephemeral port (printed on stdout)
 //	autoncsd -cache-dir /var/autoncs   # persist results across restarts
 //
-// Several daemons form a compile fleet: each is given its own base URL
-// (-self) and the full membership list (-peers), keys are sharded across
-// the members by consistent hashing, and a local cache miss for a key
-// owned by a remote peer is answered from that peer's cache (see
-// docs/fleet.md):
-//
-//	autoncsd -addr :8081 -self http://10.0.0.1:8081 \
-//	    -peers http://10.0.0.1:8081,http://10.0.0.2:8081,http://10.0.0.3:8081
-//
 // On SIGINT/SIGTERM the daemon stops accepting work, runs the accepted
 // queue to completion (bounded by -drain-timeout), and exits 0.
 package main
@@ -34,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -51,27 +41,10 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "directory for the on-disk result cache (empty = memory only)")
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = 256, -1 disables the memory layer)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
-		self         = flag.String("self", "", "this daemon's own base URL in the fleet (e.g. http://10.0.0.1:8080; empty disables peering)")
-		peers        = flag.String("peers", "", "comma-separated fleet membership base URLs (self is added if absent; requires -self)")
-		peerTimeout  = flag.Duration("peer-timeout", 0, "per-attempt peer cache probe timeout (0 = 2s)")
-		peerRecovery = flag.Duration("peer-recovery", 0, "how long a dead peer stays out of the ring before a re-probe (0 = 5s)")
 		deltaRatio   = flag.Float64("delta-max-ratio", 0, "edit-ratio cutoff for ?base= delta recompiles (0 = 0.1, negative disables delta serving)")
 		verbose      = flag.Bool("v", false, "debug-level request and job logging")
 	)
 	flag.Parse()
-
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-	}
-	if len(peerList) > 0 && *self == "" {
-		fmt.Fprintln(os.Stderr, "autoncsd: -peers requires -self")
-		os.Exit(2)
-	}
 
 	level := slog.LevelInfo
 	if *verbose {
@@ -85,16 +58,12 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := server.New(server.Options{
-		Slots:                *slots,
-		QueueDepth:           *queue,
-		CompileWorkers:       *workers,
-		DeltaMaxEditRatio:    *deltaRatio,
-		Cache:                store,
-		Log:                  log,
-		Self:                 *self,
-		Peers:                peerList,
-		PeerTimeout:          *peerTimeout,
-		PeerRecoveryInterval: *peerRecovery,
+		Slots:             *slots,
+		QueueDepth:        *queue,
+		CompileWorkers:    *workers,
+		DeltaMaxEditRatio: *deltaRatio,
+		Cache:             store,
+		Log:               log,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "autoncsd:", err)

@@ -15,7 +15,9 @@ package cache
 import (
 	"container/list"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -179,17 +181,25 @@ func (s *Store) PutShared(k Key, v []byte) error {
 	return nil
 }
 
-// PutMemory stores the payload under k in the memory LRU only, never on
-// disk, and like PutShared keeps v itself: the caller hands v over and
-// never modifies it afterwards. The serving layer uses it to write through
-// payloads fetched from a fleet peer's cache: the owning peer already
-// persists the entry, so replicating it onto every borrower's disk would
-// just multiply the fleet's storage footprint for bytes the ring will keep
-// routing to the owner anyway.
-func (s *Store) PutMemory(k Key, v []byte) {
+// Delete removes the payload stored under k from memory and, when
+// configured, from disk. A key that is not stored is no error. The serving
+// layer uses it to drop a delta base's result once the base's artifact is
+// gone, so that recompiling the base really runs instead of hitting.
+func (s *Store) Delete(k Key) error {
 	s.mu.Lock()
-	s.insertLocked(k, v[:len(v):len(v)])
+	if el, ok := s.byKey[k]; ok {
+		s.ll.Remove(el)
+		delete(s.byKey, k)
+	}
+	dir := s.dir
 	s.mu.Unlock()
+	if dir == "" {
+		return nil
+	}
+	if err := os.Remove(s.path(k)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("cache: %w", err)
+	}
+	return nil
 }
 
 // Len returns the current in-memory entry count.

@@ -156,6 +156,11 @@ func TestConcurrentAccess(t *testing.T) {
 				if got, hit, _ := s.GetDetail(k, nil); hit && len(got) == 0 {
 					t.Errorf("empty payload for %v", k)
 				}
+				if i%5 == g%5 {
+					if err := s.Delete(k); err != nil {
+						t.Errorf("Delete %v: %v", k, err)
+					}
+				}
 			}
 		}(g)
 	}
@@ -227,7 +232,7 @@ func TestGetDetailProvenance(t *testing.T) {
 	}
 }
 
-// TestSharedFormsDoNotCopy: PutShared, PutMemory and GetDetail hand the
+// TestSharedFormsDoNotCopy: PutShared and GetDetail hand the
 // store's own slice in and out, so a payload costs one copy however many
 // readers hold it, while Peek keeps returning a private copy.
 func TestSharedFormsDoNotCopy(t *testing.T) {
@@ -250,11 +255,50 @@ func TestSharedFormsDoNotCopy(t *testing.T) {
 	if cp, _ := s.Peek(k); &cp[0] == &val[0] {
 		t.Fatal("Peek returned the shared slice, not a copy")
 	}
-	m := keyOf(2)
-	mval := []byte("memory")
-	s.PutMemory(m, mval)
-	if got, _, _ := s.GetDetail(m, nil); &got[0] != &mval[0] {
-		t.Fatal("PutMemory stored a copy")
+}
+
+// TestDelete: Delete drops a key from memory and from disk, so neither
+// layer serves it again, leaves every other key alone, and treats an
+// absent key as no error.
+func TestDelete(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, other := keyOf(1), keyOf(2)
+	for _, key := range []Key{k, other} {
+		if err := s.PutShared(key, []byte(key.Hex())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Peek(k); ok {
+		t.Fatal("deleted key still in memory")
+	}
+	if _, err := os.Stat(filepath.Join(dir, k.Hex())); !os.IsNotExist(err) {
+		t.Fatalf("deleted key still on disk: %v", err)
+	}
+	if _, hit, _ := s.GetDetail(k, nil); hit {
+		t.Fatal("deleted key served")
+	}
+	if v, hit, _ := s.GetDetail(other, nil); !hit || string(v) != other.Hex() {
+		t.Fatalf("other key after Delete: %q hit=%v", v, hit)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len %d after Delete, want 1", s.Len())
+	}
+	if err := s.Delete(k); err != nil {
+		t.Fatalf("deleting an absent key: %v", err)
+	}
+	mem, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Delete(k); err != nil {
+		t.Fatalf("deleting from a memory-only store: %v", err)
 	}
 }
 

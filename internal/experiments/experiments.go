@@ -1,9 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 4). Each runner returns a structured result (so the
 // benchmark harness and tests can assert on it) plus terminal-friendly
-// renderings of the original plots. Runners accept explicit sizes so tests
-// can execute scaled-down variants; the PaperX helpers use the paper's
-// parameters.
+// renderings of the original plots. Runners accept explicit sizes and
+// testbenches, so tests can execute scaled-down variants; cmd/ncsbench
+// runs them at the paper's parameters.
 package experiments
 
 import (
@@ -76,9 +76,6 @@ func Figure3(n, maxSize int, seed int64) (*Figure3Result, error) {
 	}, nil
 }
 
-// PaperFigure3 runs Figure 3 at the paper's 400-neuron scale.
-func PaperFigure3() (*Figure3Result, error) { return Figure3(400, 64, 1) }
-
 // ---------------------------------------------------------------- Figure 4
 
 // Figure4Result compares GCP against the traversing algorithm (Figure 4:
@@ -135,9 +132,6 @@ func Figure4(n, maxSize int, seed int64) (*Figure4Result, error) {
 	return &out, nil
 }
 
-// PaperFigure4 runs Figure 4 at the paper's scale (400 neurons, limit 64).
-func PaperFigure4() (*Figure4Result, error) { return Figure4(400, 64, 1) }
-
 // ------------------------------------------------------------ Figures 5, 6
 
 // Figure56Result reproduces Figures 5 and 6: the remaining (outlier)
@@ -159,13 +153,8 @@ type IterationView struct {
 	RemainingView string // ASCII render of the remaining network
 }
 
-// Figure56 traces ISC on an n-neuron sparse network. It is Figure56Ctx
-// under context.Background().
-func Figure56(n int, seed int64, render bool) (*Figure56Result, error) {
-	return Figure56Ctx(context.Background(), n, seed, render)
-}
-
-// Figure56Ctx is Figure56 with cooperative cancellation of the ISC loop.
+// Figure56Ctx traces ISC on an n-neuron sparse network, with cooperative
+// cancellation of the ISC loop.
 func Figure56Ctx(ctx context.Context, n int, seed int64, render bool) (*Figure56Result, error) {
 	cm := SparseNet(n, seed)
 	lib := xbar.DefaultLibrary()
@@ -203,9 +192,6 @@ func Figure56Ctx(ctx context.Context, n int, seed int64, render bool) (*Figure56
 	return out, nil
 }
 
-// PaperFigure56 traces the 400-neuron example of Figures 5 and 6.
-func PaperFigure56() (*Figure56Result, error) { return Figure56(400, 1, true) }
-
 // ------------------------------------------------------------ Figures 7-9
 
 // ISCAnalysis reproduces one of Figures 7-9: the per-iteration efficacy
@@ -229,13 +215,8 @@ type ISCAnalysis struct {
 	BaselineAvgUtil float64
 }
 
-// FigureISC runs the analysis for the given testbench configuration. It is
-// FigureISCCtx under context.Background().
-func FigureISC(tb hopfield.Testbench, seed int64) (*ISCAnalysis, error) {
-	return FigureISCCtx(context.Background(), tb, seed)
-}
-
-// FigureISCCtx is FigureISC with cooperative cancellation of the ISC loop.
+// FigureISCCtx runs the analysis for the given testbench configuration,
+// with cooperative cancellation of the ISC loop.
 func FigureISCCtx(ctx context.Context, tb hopfield.Testbench, seed int64) (*ISCAnalysis, error) {
 	cm, _, _ := tb.Build(seed)
 	lib := xbar.DefaultLibrary()
@@ -280,15 +261,6 @@ func FigureISCCtx(ctx context.Context, tb hopfield.Testbench, seed int64) (*ISCA
 	return a, nil
 }
 
-// PaperFigure runs Figures 7, 8 or 9 for testbench id 1-3.
-func PaperFigure(id int) (*ISCAnalysis, error) {
-	tbs := hopfield.Testbenches()
-	if id < 1 || id > len(tbs) {
-		return nil, fmt.Errorf("experiments: no testbench %d", id)
-	}
-	return FigureISC(tbs[id-1], 1)
-}
-
 // ---------------------------------------------------------------- Table 1
 
 // Table1Row is one testbench's physical design comparison.
@@ -331,14 +303,8 @@ func designOf(ctx context.Context, a *xbar.Assignment, dev xbar.DeviceModel) (*c
 	return rep, nl, pl, rt, nil
 }
 
-// Table1Bench evaluates one testbench configuration (scaled or full). It is
-// Table1BenchCtx under context.Background().
-func Table1Bench(tb hopfield.Testbench, seed int64) (*Table1Row, error) {
-	return Table1BenchCtx(context.Background(), tb, seed)
-}
-
-// Table1BenchCtx is Table1Bench with cooperative cancellation of the ISC,
-// placement, and routing loops.
+// Table1BenchCtx evaluates one testbench configuration (scaled or full),
+// with cooperative cancellation of the ISC, placement, and routing loops.
 func Table1BenchCtx(ctx context.Context, tb hopfield.Testbench, seed int64) (*Table1Row, error) {
 	cm, _, _ := tb.Build(seed)
 	lib := xbar.DefaultLibrary()
@@ -367,14 +333,8 @@ func Table1BenchCtx(ctx context.Context, tb hopfield.Testbench, seed int64) (*Ta
 	return row, nil
 }
 
-// Table1 evaluates the given testbenches and averages the reductions. It is
-// Table1Ctx under context.Background().
-func Table1(tbs []hopfield.Testbench, seed int64) (*Table1Result, error) {
-	return Table1Ctx(context.Background(), tbs, seed)
-}
-
-// Table1Ctx is Table1 with cooperative cancellation between and within
-// testbench evaluations.
+// Table1Ctx evaluates the given testbenches and averages the reductions,
+// with cooperative cancellation between and within testbench evaluations.
 func Table1Ctx(ctx context.Context, tbs []hopfield.Testbench, seed int64) (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, tb := range tbs {
@@ -393,11 +353,6 @@ func Table1Ctx(ctx context.Context, tbs []hopfield.Testbench, seed int64) (*Tabl
 		out.Avg.Delay /= n
 	}
 	return out, nil
-}
-
-// PaperTable1 evaluates all three paper testbenches at full scale.
-func PaperTable1() (*Table1Result, error) {
-	return Table1(hopfield.Testbenches(), 1)
 }
 
 // --------------------------------------------------------------- Figure 10
@@ -419,15 +374,9 @@ type Figure10Result struct {
 	AutoNCSRelaxations int
 }
 
-// Figure10 places and routes both designs of the given testbench and
-// renders Figure 10's four panels. It is Figure10Ctx under
-// context.Background().
-func Figure10(tb hopfield.Testbench, seed int64) (*Figure10Result, error) {
-	return Figure10Ctx(context.Background(), tb, seed)
-}
-
-// Figure10Ctx is Figure10 with cooperative cancellation of the ISC,
-// placement, and routing loops.
+// Figure10Ctx places and routes both designs of the given testbench and
+// renders Figure 10's four panels, with cooperative cancellation of the
+// ISC, placement, and routing loops.
 func Figure10Ctx(ctx context.Context, tb hopfield.Testbench, seed int64) (*Figure10Result, error) {
 	cm, _, _ := tb.Build(seed)
 	lib := xbar.DefaultLibrary()
@@ -463,9 +412,4 @@ func Figure10Ctx(ctx context.Context, tb hopfield.Testbench, seed int64) (*Figur
 	out.FullCroRelaxations = fullRt.Relaxations
 	out.AutoNCSRelaxations = autoRt.Relaxations
 	return out, nil
-}
-
-// PaperFigure10 renders Figure 10 for testbench 3 at full scale.
-func PaperFigure10() (*Figure10Result, error) {
-	return Figure10(hopfield.Testbenches()[2], 1)
 }

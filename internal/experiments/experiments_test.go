@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestFigure4(t *testing.T) {
 }
 
 func TestFigure56(t *testing.T) {
-	res, err := Figure56(testN, testSeed, true)
+	res, err := Figure56Ctx(context.Background(), testN, testSeed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFigure56(t *testing.T) {
 }
 
 func TestFigureISC(t *testing.T) {
-	a, err := FigureISC(testTB, testSeed)
+	a, err := FigureISCCtx(context.Background(), testTB, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,39 +129,54 @@ func TestFigureISC(t *testing.T) {
 	}
 }
 
-func TestPaperFigureRejectsBadID(t *testing.T) {
-	if _, err := PaperFigure(0); err == nil {
-		t.Fatal("testbench 0 accepted")
-	}
-	if _, err := PaperFigure(4); err == nil {
-		t.Fatal("testbench 4 accepted")
-	}
-}
-
+// TestTable1Scaled holds Table 1's claim at the scale `ncsbench -quick`
+// runs it (seed 1; testbench i has M = 6+2i patterns, N = 100+40i neurons
+// and sparsity 0.93): AutoNCS beats FullCro on wirelength, area and delay
+// on every testbench, and the average reductions stay within
+// table1AvgTolerance points of the 51.70 / 44.08 / 42.90% this flow
+// measures there (the paper reports 47.80 / 31.97 / 47.18% at full scale).
+// The flow is deterministic, so a reading outside the band means a change
+// moved Table 1, and the numbers quoted from it need re-measuring. The
+// paper's 40–51% per-testbench delay band is not pinned: at this scale
+// testbench 3 reads 37.84%.
 func TestTable1Scaled(t *testing.T) {
-	res, err := Table1([]hopfield.Testbench{testTB}, testSeed)
+	tbs := hopfield.Testbenches()
+	for i := range tbs {
+		tbs[i].M = 6 + 2*i
+		tbs[i].N = 100 + 40*i
+		tbs[i].Sparsity = 0.93
+	}
+	res, err := Table1Ctx(context.Background(), tbs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("%d rows", len(res.Rows))
+	if len(res.Rows) != len(tbs) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(tbs))
 	}
-	row := res.Rows[0]
-	if row.AutoNCS.Wirelength <= 0 || row.FullCro.Wirelength <= 0 {
-		t.Fatal("degenerate wirelengths")
+	for _, row := range res.Rows {
+		r := row.Reductions
+		if r.Wirelength <= 0 || r.Area <= 0 || r.Delay <= 0 {
+			t.Errorf("testbench %d: reductions wirelength %.2f%%, area %.2f%%, delay %.2f%%; AutoNCS must beat FullCro on all three",
+				row.Testbench.ID, r.Wirelength, r.Area, r.Delay)
+		}
 	}
-	// The headline claim at any scale: AutoNCS reduces delay (driven by
-	// the crossbar size mix) and does not lose on cost overall.
-	if row.Reductions.Delay <= 0 {
-		t.Errorf("delay reduction %.1f%%, want positive", row.Reductions.Delay)
-	}
-	if res.Avg.Delay != row.Reductions.Delay {
-		t.Error("average over one row differs from the row")
+	const table1AvgTolerance = 5.0 // percentage points
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"wirelength", res.Avg.Wirelength, 51.70},
+		{"area", res.Avg.Area, 44.08},
+		{"delay", res.Avg.Delay, 42.90},
+	} {
+		if c.got < c.want-table1AvgTolerance || c.got > c.want+table1AvgTolerance {
+			t.Errorf("average %s reduction %.2f%%, want %.2f ± %.0f%%", c.name, c.got, c.want, table1AvgTolerance)
+		}
 	}
 }
 
 func TestFigure10Scaled(t *testing.T) {
-	res, err := Figure10(testTB, testSeed)
+	res, err := Figure10Ctx(context.Background(), testTB, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,29 +249,5 @@ func TestFidelityWithDefects(t *testing.T) {
 	}
 	if res.HardwareRate < 0.4 {
 		t.Fatalf("repaired hardware rate %g collapsed", res.HardwareRate)
-	}
-}
-
-func TestSparsitySweep(t *testing.T) {
-	pts, err := SparsitySweep(100, []float64{0.85, 0.95, 0.99}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.OutlierRatio < 0 || p.OutlierRatio > 1 {
-			t.Fatalf("outlier ratio %g at sparsity %g", p.OutlierRatio, p.Sparsity)
-		}
-		if p.SynapseShare < 0 || p.SynapseShare > 1 {
-			t.Fatalf("synapse share %g", p.SynapseShare)
-		}
-	}
-	// The denser network must keep more of its connections in crossbars
-	// than the extremely sparse one (utilization economics).
-	if pts[0].AvgUtilization < pts[2].AvgUtilization {
-		t.Fatalf("utilization did not fall with sparsity: %g vs %g",
-			pts[0].AvgUtilization, pts[2].AvgUtilization)
 	}
 }

@@ -26,9 +26,6 @@ type MetricsSnapshot struct {
 	Relaxations      int // RouteRelaxation events
 	CacheHits        int // CacheLookup events with Hit
 	CacheMisses      int // CacheLookup events without Hit
-	PeerHits         int // PeerLookup events with Hit
-	PeerMisses       int // PeerLookup events: healthy peer, not cached
-	PeerErrors       int // PeerLookup events with Err
 	RequestRecords   int // RequestTiming events (terminal serving-layer jobs)
 	DeltaCompiles    int // DeltaStats events (finished delta recompiles)
 	StageTimes       map[Stage]time.Duration
@@ -39,7 +36,6 @@ type MetricsSnapshot struct {
 	LastPlaceStats   PlaceStats // stats of the last finished placement
 	LastRoute        RouteBatch
 	LastRouteStats   RouteStats    // stats of the last finished routing
-	LastPeer         PeerLookup    // the last fleet peer-cache probe
 	LastRequest      RequestTiming // timing record of the last terminal job
 	LastDelta        DeltaStats    // stats of the last finished delta recompile
 	Err              error         // error of the last StageEnd/CompileEnd that carried one
@@ -90,16 +86,6 @@ func (m *Metrics) Observe(e Event) {
 		} else {
 			m.snap.CacheMisses++
 		}
-	case PeerLookup:
-		switch {
-		case e.Err:
-			m.snap.PeerErrors++
-		case e.Hit:
-			m.snap.PeerHits++
-		default:
-			m.snap.PeerMisses++
-		}
-		m.snap.LastPeer = e
 	case RequestTiming:
 		m.snap.RequestRecords++
 		m.snap.LastRequest = e

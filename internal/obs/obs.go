@@ -179,28 +179,13 @@ type CacheLookup struct {
 	Disk bool // the hit was served by the on-disk layer
 }
 
-// PeerLookup records one fleet peer-cache probe of the serving layer: on a
-// local cache miss for a key whose consistent-hash owner is a remote peer,
-// the daemon asks that owner for the cached payload before admitting a
-// local compile. Hit means the peer served the bytes; Err means the probe
-// failed (timeout, refusal, bad response) after its retries — a healthy
-// peer answering "not cached" is a miss, not an error. Like CacheLookup,
-// it is a server-side event: a bare CLI compile never produces one.
-type PeerLookup struct {
-	Key     string // lowercase-hex content address probed
-	Peer    string // base URL of the peer probed (the key's effective owner)
-	Hit     bool
-	Err     bool
-	Elapsed time.Duration // wall time of the whole lookup, retries included
-}
-
 // RequestTiming is the serving layer's flat per-request latency record,
 // emitted once per job as it reaches a terminal state: where the request's
 // wall time went (admission wait, queue wait, compile run) and how it was
 // answered (fresh compile, coalesced onto another submission's compile, or
 // straight from the result cache). The record is deliberately flat — every
-// field is a scalar — so a fleet can dump the stream into CSV and analyze
-// serving latency without JSON unnesting; client.RequestTiming carries the
+// field is a scalar — so the stream dumps into CSV for serving-latency
+// analysis without JSON unnesting; client.RequestTiming carries the
 // same record on the wire with CSV helpers. Like CacheLookup, it is a
 // server-side event: a bare CLI compile never produces one.
 type RequestTiming struct {
@@ -213,7 +198,7 @@ type RequestTiming struct {
 
 	Submitted time.Time // when the request entered the handler
 	// AdmitWait is submit → admission decision: request decode, spec
-	// build, delta base resolution and the cache/peer probes.
+	// build, delta base resolution and the cache probe.
 	AdmitWait time.Duration
 	QueueWait time.Duration // admission → compile start (zero when attached mid-run)
 	Run       time.Duration // compile start → terminal state
@@ -265,7 +250,6 @@ func (RouteBatch) event()      {}
 func (RouteRelaxation) event() {}
 func (RouteStats) event()      {}
 func (CacheLookup) event()     {}
-func (PeerLookup) event()      {}
 func (RequestTiming) event()   {}
 func (DeltaStats) event()      {}
 

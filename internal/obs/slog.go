@@ -76,9 +76,6 @@ func (s slogObserver) Observe(e Event) {
 			"finalCapacity", e.FinalCapacity)
 	case CacheLookup:
 		s.l.Info("cache lookup", "key", e.Key, "hit", e.Hit, "disk", e.Disk)
-	case PeerLookup:
-		s.l.Info("peer lookup",
-			"key", e.Key, "peer", e.Peer, "hit", e.Hit, "err", e.Err, "elapsed", e.Elapsed)
 	case DeltaStats:
 		s.l.Info("delta stats",
 			"edits", e.Edits, "added", e.AddedEdges, "removed", e.RemovedEdges,

@@ -58,7 +58,7 @@ func (s *Server) admit(spec *compileSpec, priority string, submitted time.Time) 
 	// the cache before removing the flight, so a submission never finds
 	// neither.
 	if payload, ok := s.cache.Peek(spec.key); ok {
-		j := s.cacheHitLocked(spec, priority, payload, submitted, "")
+		j := s.cacheHitLocked(spec, priority, payload, submitted)
 		s.log.Info("cache hit at admission", "job", j.id, "key", spec.key.Hex())
 		return admitResult{kind: admitCached, j: j}
 	}
@@ -134,22 +134,21 @@ func (s *Server) registerJobLocked(spec *compileSpec, priority string, submitted
 }
 
 // cacheHitLocked registers a record born terminal for a submission
-// answered from a cache: the handler's probe, a fleet peer's cache (peer
-// names it), or admit's late re-check. Caller holds s.mu.
-func (s *Server) cacheHitLocked(spec *compileSpec, priority string, payload []byte, submitted time.Time, peer string) *job {
+// answered from the cache: by the handler's probe or by admit's late
+// re-check. Caller holds s.mu.
+func (s *Server) cacheHitLocked(spec *compileSpec, priority string, payload []byte, submitted time.Time) *job {
 	j := s.registerJobLocked(spec, priority, submitted)
 	j.cached = true
-	j.peer = peer
 	s.accepted.Add(1)
 	s.cacheHits.Add(1)
 	s.finishJobLocked(j, client.StateDone, payload, nil, nil)
 	return j
 }
 
-// cacheHitJob is cacheHitLocked for the handler's cache and fleet probes,
-// which run before admission and without s.mu.
-func (s *Server) cacheHitJob(spec *compileSpec, priority string, payload []byte, submitted time.Time, peer string) *job {
+// cacheHitJob is cacheHitLocked for the handler's cache probe, which runs
+// before admission and without s.mu.
+func (s *Server) cacheHitJob(spec *compileSpec, priority string, payload []byte, submitted time.Time) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cacheHitLocked(spec, priority, payload, submitted, peer)
+	return s.cacheHitLocked(spec, priority, payload, submitted)
 }

@@ -38,9 +38,9 @@ type compileSpec struct {
 }
 
 // buildSpec materializes a wire request under the service's size limit.
-// The materialization itself lives on client.CompileRequest.Spec so the
-// shard-aware Fleet client derives the exact same cache key the daemon
-// serves under. Every validation failure is a client-side (HTTP 400)
+// The materialization itself lives on client.CompileRequest.Spec so a
+// client derives the exact same cache key the daemon serves under. Every
+// validation failure is a client-side (HTTP 400)
 // error. A delta request's artifact resolution happens separately in
 // resolveDelta — it needs the daemon's cache, which Spec has no business
 // touching.

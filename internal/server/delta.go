@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/cache"
-	"repro/internal/obs"
 )
 
 // Delta serving: a ?base=<key> submission asks the daemon to recompile an
@@ -36,39 +34,22 @@ const defaultDeltaMaxRatio = 0.1
 // full compile (edit ratio over the cutoff — the silent fallback the API
 // documents). A non-zero status is an HTTP error to answer the submission
 // with; code is the stable machine-readable discriminator.
-func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int, code, msg string) {
+func (s *Server) resolveDelta(sp *compileSpec) (status int, code, msg string) {
 	akey := cache.Key(client.ArtifactKey([32]byte(sp.baseKey)))
 	payload, hit, _ := s.cache.GetDetail(akey, json.Valid)
-	// A local artifact miss asks the fleet, exactly like a result lookup:
-	// the base may have compiled on the shard owning its key.
-	fromPeer := false
-	if !hit && s.fleet != nil {
-		if lk := s.fleet.Find(ctx, [32]byte(akey)); lk != nil {
-			s.metrics.Observe(obs.PeerLookup{
-				Key: akey.Hex(), Peer: lk.Peer, Hit: lk.Hit,
-				Err: lk.Err != nil, Elapsed: lk.Elapsed,
-			})
-			if lk.Hit {
-				payload, hit, fromPeer = lk.Payload, true, true
-			}
-		}
-	}
 	if !hit {
+		s.dropStrandedBase(sp.baseKey)
 		return http.StatusNotFound, client.CodeBaseArtifactMissing,
-			fmt.Sprintf("no artifact for base %s (the base compile never ran on this daemon, or its artifact was evicted)", sp.baseKey.Hex())
+			fmt.Sprintf("no artifact for base %s (the base compile never ran on this daemon, or its artifact was evicted), recompile the base", sp.baseKey.Hex())
 	}
 	art, err := autoncs.DecodeArtifact(payload)
 	if err != nil {
 		// An artifact this daemon cannot read — typically one stored by an
 		// older version before a format bump — is as good as missing: the
 		// client recovers the same way, by recompiling the base.
+		s.dropStrandedBase(sp.baseKey)
 		return http.StatusNotFound, client.CodeBaseArtifactMissing,
 			fmt.Sprintf("artifact for base %s is unusable, recompile the base: %v", sp.baseKey.Hex(), err)
-	}
-	if fromPeer {
-		// Write a peer hit through to the local memory LRU, once it has
-		// decoded, so an editing session's next delta resolves locally.
-		s.cache.PutMemory(akey, payload)
 	}
 	if vec := autoncs.ConfigVectorHashHex(sp.cfg); art.ConfigVector != vec {
 		return http.StatusConflict, client.CodeBaseConfigMismatch,
@@ -106,6 +87,20 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 	}
 	sp.base = art
 	return 0, "", ""
+}
+
+// dropStrandedBase drops the cached result of a base whose artifact is
+// missing or unusable. The memory LRU can evict an artifact and keep its
+// result, and a cached result is a hit that never recompiles, so without
+// this the recompile a base_artifact_missing answer asks for would be
+// served from the cache and the artifact would never come back. With the
+// result gone, that recompile runs and stores both again. A delta racing
+// its base's own completion can drop a result whose artifact is about to
+// be stored; that costs one recompile, never a wrong answer.
+func (s *Server) dropStrandedBase(base cache.Key) {
+	if err := s.cache.Delete(base); err != nil {
+		s.log.Warn("dropping stranded base result failed", "base", base.Hex(), "err", err)
+	}
 }
 
 // putArtifact stores a finished compile's resumable artifact next to its

@@ -101,11 +101,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 	// content address of the edited network.
 	plainReq := editReq
 	plainReq.Base = ""
-	plainKey, err := plainReq.CacheKey()
+	plain, err := plainReq.Spec(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKey := client.DeltaKey(bk, plainKey)
+	wantKey := client.DeltaKey(bk, plain.Key)
 	if delta.Key != cache.Key(wantKey).Hex() {
 		t.Fatalf("delta key %s, want DeltaKey %s", delta.Key, cache.Key(wantKey).Hex())
 	}
@@ -233,6 +233,72 @@ func TestDeltaBaseArtifactUnusable(t *testing.T) {
 	if !strings.Contains(ae.Message, "autoncs-artifact/v1") {
 		t.Errorf("message %q does not carry the decode error", ae.Message)
 	}
+	recompileBaseThenDelta(t, c, smallReq(1), base)
+}
+
+// TestDeltaBaseStrandedByEviction: the memory LRU can evict a compile's
+// artifact while keeping its result. The delta against that base is the
+// typed 404, and the recovery it prescribes, recompiling the base, must
+// really compile and store a fresh artifact, so the retried delta runs.
+func TestDeltaBaseStrandedByEviction(t *testing.T) {
+	store, err := cache.New(cache.Options{MaxEntries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newTestServer(t, Options{Slots: 1, Cache: store})
+	ctx := context.Background()
+	base, err := c.CompileWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-opening the base refreshes its result, so its artifact is the
+	// coldest entry, and the next compile's two entries evict it.
+	if reopen, err := c.CompileWait(ctx, smallReq(1)); err != nil || !reopen.Cached {
+		t.Fatalf("re-open: %+v, %v", reopen, err)
+	}
+	if _, err := c.CompileWait(ctx, smallReq(2)); err != nil {
+		t.Fatal(err)
+	}
+	kb, err := cache.ParseKey(base.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, _ := s.cache.GetDetail(cache.Key(client.ArtifactKey([32]byte(kb))), nil); hit {
+		t.Fatal("the base's artifact survived; the test no longer strands its base")
+	}
+	_, err = c.CompileWait(ctx, client.CompileRequest{Net: editedNetText(t), Seed: 1, Base: base.Key})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != 404 || ae.Code != client.CodeBaseArtifactMissing {
+		t.Fatalf("want 404 %s, got %v", client.CodeBaseArtifactMissing, err)
+	}
+	recompileBaseThenDelta(t, c, smallReq(1), base)
+}
+
+// recompileBaseThenDelta follows a base_artifact_missing answer the way
+// the error code prescribes: recompile the base, then retry the delta. The
+// recompile must run (not hit the cache) and reproduce the base's key and
+// bytes, and the retried delta must run against it.
+func recompileBaseThenDelta(t *testing.T, c *client.Client, baseReq client.CompileRequest, base *client.JobStatus) {
+	t.Helper()
+	ctx := context.Background()
+	again, err := c.CompileWait(ctx, baseReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != client.StateDone || again.Cached || again.Key != base.Key {
+		t.Fatalf("base recompile: state %s cached %v key %s, want a fresh compile under %s",
+			again.State, again.Cached, again.Key, base.Key)
+	}
+	if len(again.Result) == 0 || !bytes.Equal(again.Result, base.Result) {
+		t.Fatal("base recompile differs from the original compile")
+	}
+	delta, err := c.CompileWait(ctx, client.CompileRequest{Net: editedNetText(t), Seed: 1, Base: base.Key})
+	if err != nil {
+		t.Fatalf("delta after the base recompile: %v", err)
+	}
+	if delta.State != client.StateDone || delta.BaseKey != base.Key || delta.Cached {
+		t.Fatalf("delta after the base recompile: state %s base %q cached %v", delta.State, delta.BaseKey, delta.Cached)
+	}
 }
 
 // TestDeltaBadBase: a malformed base key is a plain 400.
@@ -284,12 +350,12 @@ func TestDeltaEditRatioFallback(t *testing.T) {
 	}
 	plainReq := editReq
 	plainReq.Base = ""
-	plainKey, err := plainReq.CacheKey()
+	plain, err := plainReq.Spec(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Key != cache.Key(plainKey).Hex() {
-		t.Fatalf("fallback key %s, want plain %s", full.Key, cache.Key(plainKey).Hex())
+	if full.Key != cache.Key(plain.Key).Hex() {
+		t.Fatalf("fallback key %s, want plain %s", full.Key, cache.Key(plain.Key).Hex())
 	}
 	m, err := c.Metrics(ctx)
 	if err != nil {

@@ -43,7 +43,6 @@ type job struct {
 	mu         sync.Mutex
 	state      string
 	cached     bool
-	peer       string // fleet peer whose cache answered; "" for local answers
 	err        error
 	result     []byte
 	submitted  time.Time
@@ -145,7 +144,6 @@ func (j *job) status(embedResult bool) client.JobStatus {
 		State:       j.state,
 		Key:         j.key.Hex(),
 		Cached:      j.cached,
-		Peer:        j.peer,
 		Coalesced:   j.follower,
 		Priority:    j.priority,
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),

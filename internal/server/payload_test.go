@@ -252,11 +252,11 @@ func TestDiskBadResultIsAMiss(t *testing.T) {
 	}
 	s, c := newTestServer(t, Options{Slots: 1, Cache: store})
 	ctx := context.Background()
-	key, err := smallReq(1).CacheKey()
+	sp, err := smallReq(1).Spec(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, cache.Key(key).Hex())
+	path := filepath.Join(dir, cache.Key(sp.Key).Hex())
 	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestDiskBadResultIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored, _, _ := s.cache.GetDetail(cache.Key(key), nil); !bytes.Equal(onDisk, stored) || !json.Valid(onDisk) {
+	if stored, _, _ := s.cache.GetDetail(cache.Key(sp.Key), nil); !bytes.Equal(onDisk, stored) || !json.Valid(onDisk) {
 		t.Fatal("the compile did not replace the bad disk file")
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/cache"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -67,25 +66,6 @@ type Options struct {
 	Cache *cache.Store
 	// Log receives request and job lifecycle lines; nil discards them.
 	Log *slog.Logger
-
-	// Self is this daemon's own base URL in the fleet (e.g.
-	// "http://10.0.0.1:8080"). Empty disables fleet peering entirely; set,
-	// it enables the consistent-hash peer cache protocol even with no
-	// remote peers (a singleton fleet is inert but valid).
-	Self string
-	// Peers is the fleet membership list (base URLs). Self is added
-	// automatically if absent; order and duplicate spellings do not matter.
-	// Requires Self.
-	Peers []string
-	// PeerTimeout bounds each peer probe attempt; 0 means the fleet
-	// default (2s).
-	PeerTimeout time.Duration
-	// PeerFailureThreshold consecutive probe failures take a peer out of
-	// the ring; 0 means the fleet default (3).
-	PeerFailureThreshold int
-	// PeerRecoveryInterval is how long a dead peer stays out of the ring
-	// before a trial probe may readmit it; 0 means the fleet default (5s).
-	PeerRecoveryInterval time.Duration
 }
 
 // Server is the compile service. Use New; a Server must be shut down with
@@ -98,7 +78,6 @@ type Server struct {
 	cache          *cache.Store
 	log            *slog.Logger
 	metrics        *obs.Metrics
-	fleet          *fleet.Fleet // nil when Options.Self is empty
 	// compileFn runs one spec; the default is compileSpec.run. Tests
 	// substitute a controllable stand-in to exercise queue saturation and
 	// drain deterministically.
@@ -183,22 +162,6 @@ func New(opts Options) (*Server, error) {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	var fl *fleet.Fleet
-	if opts.Self != "" {
-		var err error
-		fl, err = fleet.New(fleet.Options{
-			Self:             opts.Self,
-			Peers:            opts.Peers,
-			Timeout:          opts.PeerTimeout,
-			FailureThreshold: opts.PeerFailureThreshold,
-			RecoveryInterval: opts.PeerRecoveryInterval,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-	} else if len(opts.Peers) > 0 {
-		return nil, fmt.Errorf("server: peers configured without self")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		slots:          slots,
@@ -208,7 +171,6 @@ func New(opts Options) (*Server, error) {
 		cache:          store,
 		log:            log,
 		metrics:        &obs.Metrics{},
-		fleet:          fl,
 		baseCtx:        ctx,
 		baseCancel:     cancel,
 		qInteractive:   make(chan *flight, depth),
@@ -441,7 +403,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if spec.delta {
-		if status, code, msg := s.resolveDelta(r.Context(), spec); status != 0 {
+		if status, code, msg := s.resolveDelta(spec); status != 0 {
 			s.writeErrCode(w, status, code, msg)
 			return
 		}
@@ -452,39 +414,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	payload, hit, disk := s.cache.GetDetail(spec.key, json.Valid)
 	s.metrics.Observe(obs.CacheLookup{Key: spec.key.Hex(), Hit: hit, Disk: disk})
 	if hit {
-		j := s.cacheHitJob(spec, priority, payload, submitted, "")
+		j := s.cacheHitJob(spec, priority, payload, submitted)
 		s.log.Info("cache hit", "job", j.id, "key", spec.key.Hex(), "disk", disk)
 		s.writeStatus(w, http.StatusOK, j, wait)
 		return
-	}
-
-	// Fleet probe: a local miss for a key whose ring owner is a live remote
-	// peer asks that owner before admitting a local compile. A peer hit is
-	// answered exactly like a cache hit — the payload is bit-identical by
-	// content addressing — and written through to the local memory LRU so
-	// repeats are local. A payload that is not JSON never gets that far:
-	// the lookup fails as a peer error, charged to the peer's breaker. Any
-	// fleet failure falls through to a local compile: peering accelerates,
-	// it never gates.
-	if s.fleet != nil {
-		if lk := s.fleet.Find(r.Context(), [32]byte(spec.key)); lk != nil {
-			s.metrics.Observe(obs.PeerLookup{
-				Key: spec.key.Hex(), Peer: lk.Peer, Hit: lk.Hit,
-				Err: lk.Err != nil, Elapsed: lk.Elapsed,
-			})
-			if lk.Hit {
-				s.cache.PutMemory(spec.key, lk.Payload)
-				j := s.cacheHitJob(spec, priority, lk.Payload, submitted, lk.Peer)
-				s.log.Info("peer cache hit", "job", j.id, "key", spec.key.Hex(),
-					"peer", lk.Peer, "elapsed", lk.Elapsed)
-				s.writeStatus(w, http.StatusOK, j, wait)
-				return
-			}
-			if lk.Err != nil {
-				s.log.Warn("peer lookup failed", "key", spec.key.Hex(),
-					"peer", lk.Peer, "err", lk.Err)
-			}
-		}
 	}
 
 	res := s.admit(spec, priority, submitted)
@@ -588,13 +521,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(payload) //nolint:errcheck // a vanished reader costs nothing
 }
 
-// handleCache is GET|HEAD /v1/cache/{key}: the peer cache protocol. It
-// serves this daemon's own cache verbatim — raw stored payload, the
-// content address echoed in X-Autoncs-Key — and never forwards: a peer
-// asking here is already talking to the key's owner, and forwarding would
-// let a misconfigured ring bounce a lookup around the fleet. HEAD is the
-// cheap existence probe (same headers, no body). A miss is a plain 404;
-// the prober treats it as "compile it yourself", not as a failure.
+// handleCache is GET|HEAD /v1/cache/{key}: the raw payload by content
+// address. It serves this daemon's cache verbatim — the stored bytes, with
+// the content address echoed in X-Autoncs-Key — so a client holding a key
+// (a result's, or its artifact's via client.ArtifactKey) can fetch the
+// bytes without a job id. HEAD is the cheap existence probe (same headers,
+// no body). A miss is a plain 404.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	key, err := cache.ParseKey(r.PathValue("key"))
 	if err != nil {
@@ -613,7 +545,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead {
 		return
 	}
-	w.Write(payload) //nolint:errcheck // a vanished prober costs nothing
+	w.Write(payload) //nolint:errcheck // a vanished reader costs nothing
 }
 
 // handleHealth is GET /healthz: 200 ok, or 503 once draining.
@@ -680,14 +612,6 @@ func (s *Server) snapshotMetrics() client.Metrics {
 		m.LastDelta = wireDelta(snap.LastDelta)
 	}
 	m.RetryAfterSeconds = s.retryAfter().Seconds()
-	if s.fleet != nil {
-		fs := s.fleet.Stats()
-		m.Peers = fs.Total
-		m.PeersAlive = fs.Alive
-		m.PeerHits = int64(snap.PeerHits)
-		m.PeerMisses = int64(snap.PeerMisses)
-		m.PeerErrors = int64(snap.PeerErrors)
-	}
 	if snap.RequestRecords > 0 {
 		m.LastRequest = wireTiming(snap.LastRequest)
 	}
@@ -773,7 +697,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 // last member, "result", instead of through encoding/json, which would
 // validate and copy it all over again: every payload was checked where it
 // entered the process (encoded by a compile here, or json.Valid on its
-// way in from disk or from a peer). A ?wait=1 result is therefore
+// way in from disk). A ?wait=1 result is therefore
 // byte-identical to GET /v1/results/{id} and GET /v1/cache/{key}, and the
 // body is the one encoding/json would write, since client.JobStatus
 // declares Result last.

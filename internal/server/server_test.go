@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -515,5 +516,76 @@ func TestFullCroKeysDisjoint(t *testing.T) {
 	}
 	if full.Cached || full.Key == isc.Key {
 		t.Fatalf("fullcro shares the ISC key space: %s vs %s", full.Key, isc.Key)
+	}
+}
+
+// TestCacheEndpoint: GET and HEAD /v1/cache/{key} serve the raw cached
+// payload with the content address echoed in X-Autoncs-Key; misses are
+// 404, malformed keys 400.
+func TestCacheEndpoint(t *testing.T) {
+	s, c := newTestServer(t, Options{Slots: 1})
+	ctx := context.Background()
+	st, err := c.CompileWait(ctx, smallReq(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.ResultBytes(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	resp, err := http.Get(hs.URL + "/v1/cache/" + st.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET cache: %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Autoncs-Key"); got != st.Key {
+		t.Fatalf("X-Autoncs-Key %q, want %q", got, st.Key)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("cache endpoint payload differs from the result endpoint's")
+	}
+
+	head, err := http.Head(hs.URL + "/v1/cache/" + st.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, head.Body) //nolint:errcheck
+	head.Body.Close()
+	if head.StatusCode != http.StatusOK {
+		t.Fatalf("HEAD cache: %d", head.StatusCode)
+	}
+	if got := head.Header.Get("X-Autoncs-Key"); got != st.Key {
+		t.Fatalf("HEAD X-Autoncs-Key %q, want %q", got, st.Key)
+	}
+	if head.ContentLength != int64(len(want)) {
+		t.Fatalf("HEAD Content-Length %d, want %d", head.ContentLength, len(want))
+	}
+
+	miss, err := http.Get(hs.URL + "/v1/cache/" + "0000000000000000000000000000000000000000000000000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, miss.Body) //nolint:errcheck
+	miss.Body.Close()
+	if miss.StatusCode != http.StatusNotFound {
+		t.Fatalf("cache miss: %d, want 404", miss.StatusCode)
+	}
+
+	bad, err := http.Get(hs.URL + "/v1/cache/not-a-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, bad.Body) //nolint:errcheck
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed key: %d, want 400", bad.StatusCode)
 	}
 }
